@@ -10,18 +10,16 @@ from .ba import BAProblem, BAResult, auto_span, ba_curve, ba_iterate, build_prob
 from .bounds import (
     LaplacianAuxiliaries,
     RDPoint,
-    SingularSlopeError,
     analytic_upper_bound_laplacian,
     convolution_upper_bound,
     gaussian_entropy_bound,
-    laplacian_conv_pdf,
     laplacian_upper_bound_terms,
     shannon_lower_bound,
     slb_at_matched_slope,
     slb_zero,
     trivial_upper_bound_laplacian,
 )
-from .convolution import conv_entropy, conv_pdf
+from .convolution import conv_entropy, conv_pdf, laplacian_conv_pdf
 from .sources import (
     Gaussian,
     Laplacian,
@@ -63,7 +61,6 @@ __all__ = [
     "Laplacian",
     "LaplacianAuxiliaries",
     "RDPoint",
-    "SingularSlopeError",
     "SlopeState",
     "Source",
     "SourceSummary",

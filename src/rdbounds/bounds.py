@@ -6,7 +6,8 @@ Implemented bounds, all in nats:
 * ``slb_zero``                 -- distortion where that lower bound crosses zero
 * ``trivial_upper_bound_laplacian`` -- exact absolute-error rate -log(alpha D),
   an upper bound for every epsilon > 0
-* ``convolution_upper_bound``  -- h(g * p) - h(g) via the additive test channel
+* ``convolution_upper_bound``  -- h(g * p) - h(g) via the additive test channel,
+  with h(g * p) from the exact convolution densities in ``convolution``
 * ``gaussian_entropy_bound``   -- replaces h(g * p) by the max-entropy Gaussian
 * ``analytic_upper_bound_laplacian`` -- closed-form upper bound on h(g * p)
   for Laplacian sources
@@ -21,11 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .convolution import _entropy_edges, conv_entropy
-from .quadrature import panel_nodes
-from .sources import Laplacian, Source
+from .convolution import conv_entropy
+from .sources import Source
 from .tilted import (
     EpsilonLoss,
     _check_slope,
@@ -38,26 +36,15 @@ from .tilted import (
 __all__ = [
     "RDPoint",
     "LaplacianAuxiliaries",
-    "SingularSlopeError",
     "shannon_lower_bound",
     "slb_zero",
     "slb_at_matched_slope",
     "trivial_upper_bound_laplacian",
-    "laplacian_conv_pdf",
     "convolution_upper_bound",
     "gaussian_entropy_bound",
     "laplacian_upper_bound_terms",
     "analytic_upper_bound_laplacian",
 ]
-
-#: relative half-width of the guarded window around |s| = alpha where the
-#: closed-form Laplacian convolution density is a 0/0 expression
-SINGULAR_WINDOW = 1e-6
-
-
-class SingularSlopeError(ValueError):
-    """|s| is within the guarded window around the Laplacian rate alpha."""
-
 
 @dataclass(frozen=True)
 class RDPoint:
@@ -75,9 +62,9 @@ class RDPoint:
     flag: str = ""
 
 
-def _rate_point(d: float, raw: float, s: float, flag: str = "") -> RDPoint:
+def _rate_point(d: float, raw: float, s: float) -> RDPoint:
     clamped = raw < 0.0
-    return RDPoint(d=d, r=max(raw, 0.0), s=s, raw_rate=raw, clamped=clamped, flag=flag)
+    return RDPoint(d=d, r=max(raw, 0.0), s=s, raw_rate=raw, clamped=clamped)
 
 
 def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> float:
@@ -153,84 +140,14 @@ def trivial_upper_bound_laplacian(d: float, alpha: float) -> float:
     return max(-math.log(alpha * d), 0.0)
 
 
-def _check_off_singularity(s: float, alpha: float) -> None:
-    if abs(abs(s) - alpha) < SINGULAR_WINDOW * alpha:
-        raise SingularSlopeError(
-            f"|s| = {abs(s)!r} is within the guarded window around alpha = {alpha!r}"
-        )
-
-
-def _laplacian_conv_coeffs(s: float, alpha: float):
-    c1 = s / (alpha - s)
-    c2 = s / (alpha + s)
-    c3 = 2.0 * alpha**2 / (alpha**2 - s * s)
-    return c1, c2, c3
-
-
-def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
-    """Closed form of (tilted kernel * Laplacian density)(y).
-
-    Piecewise in |y| with a flat-band expression inside [-eps, eps] and a
-    three-exponential expression outside; symmetric and continuous.  Raises
-    :class:`SingularSlopeError` inside the |s| ~ alpha guard window, where the
-    coefficients are a removable 0/0.
-    """
-    s = _check_slope(s)
-    alpha = float(alpha)
-    _check_off_singularity(s, alpha)
-    eps = loss.epsilon
-    c = normalizer(s, loss)
-    c1, c2, c3 = _laplacian_conv_coeffs(s, alpha)
-    ay = np.abs(np.asarray(y, dtype=float))
-    # exponents clipped at 0: out-of-branch lanes of np.where stay finite
-    inner = (
-        c1 * np.exp(-alpha * (ay + eps))
-        + c1 * np.exp(np.minimum(alpha * (ay - eps), 0.0))
-        + 2.0
-    )
-    outer = (
-        c1 * np.exp(-alpha * (ay + eps))
-        + c2 * np.exp(np.minimum(-alpha * (ay - eps), 0.0))
-        + c3 * np.exp(np.minimum(s * (ay - eps), 0.0))
-    )
-    out = np.where(ay < eps, inner, outer) / (2.0 * c)
-    return out if out.ndim else float(out)
-
-
-def _laplacian_conv_entropy(s: float, alpha: float, loss: EpsilonLoss, refine: int = 1) -> float:
-    """h(g * p) for a Laplacian source via panels on the closed-form density."""
-    eps = loss.epsilon
-    c = normalizer(s, loss)
-    c1, c2, c3 = _laplacian_conv_coeffs(s, alpha)
-    coef = max(abs(c1), abs(c2), abs(c3), 1.0)
-    rate = min(alpha, abs(s))
-    upper = eps + (40.0 + math.log(coef) + max(0.0, -math.log(2.0 * c))) / rate
-    edges = _entropy_edges(s, loss, upper, 15.0 / alpha / refine)
-    yn, wq = panel_nodes(edges)
-    r = laplacian_conv_pdf(yn, s, alpha, loss)
-    val = -np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-    return 2.0 * float(np.dot(wq, val))
-
-
 def convolution_upper_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
     """Upper bound h(g * p) - h(g) at the distortion fixed by the slope.
 
-    Laplacian sources use the closed-form convolution density; inside the
-    |s| ~ alpha guard window (and for every other source) the density is
-    convolved numerically.
+    Supports the source types :func:`conv_entropy` does; others raise TypeError.
     """
     s = _check_slope(s)
-    d = distortion_of_slope(s, loss)
-    flag = ""
-    if isinstance(source, Laplacian):
-        try:
-            h_r = _laplacian_conv_entropy(s, source.alpha, loss)
-        except SingularSlopeError:
-            h_r = conv_entropy(source, s, loss)
-            flag = "ru_numeric_fallback"
-    else:
-        h_r = conv_entropy(source, s, loss)
-    return _rate_point(d, h_r - tilted_entropy(s, loss), s, flag)
+    raw = conv_entropy(source, s, loss) - tilted_entropy(s, loss)
+    return _rate_point(distortion_of_slope(s, loss), raw, s)
 
 
 def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
@@ -258,19 +175,16 @@ def laplacian_upper_bound_terms(s: float, alpha: float, loss: EpsilonLoss) -> La
     """
     s = _check_slope(s)
     alpha = float(alpha)
-    _check_off_singularity(s, alpha)
     eps = loss.epsilon
     e2 = math.exp(-2.0 * alpha * eps)
-    c_s = 2.0 + (s / (alpha - s)) * (1.0 + e2)
-    b_int = (s / (alpha - s)) * e2 / alpha + (s * s * (alpha - s) - 2.0 * alpha**3) / (
-        (alpha**2 - s * s) * s * alpha
-    )
+    c1 = s / (alpha - s)
+    c_s = 2.0 + c1 * (1.0 + e2)
+    # the (alpha + s) factor of the two-exponential tail cancels in both
+    # integrals, which leaves them finite and smooth through |s| = alpha
+    quad = s * s - 2.0 * alpha * s + 2.0 * alpha**2
+    b_int = c1 * e2 / alpha + quad / (alpha * s * (s - alpha))
     m1 = (1.0 + alpha * eps) / alpha**2
-    e_int = (
-        (s / (alpha - s)) * m1 * e2
-        + (s / (s + alpha)) * m1
-        + (2.0 * alpha**2 / (alpha**2 - s * s)) * (1.0 - s * eps) / (s * s)
-    )
+    e_int = c1 * m1 * e2 + (2.0 * alpha - m1 * s * quad) / ((alpha - s) * s * s)
     return LaplacianAuxiliaries(c_s=c_s, b_int=b_int, e_int=e_int)
 
 
@@ -278,8 +192,8 @@ def analytic_upper_bound_laplacian(s: float, alpha: float, loss: EpsilonLoss) ->
     """Closed-form upper bound on the Laplacian rate at the slope's distortion.
 
     Bounds h(g * p) from above through the floor constant c_s and the tail
-    integrals, then subtracts h(g).  Valid on both sides of |s| = alpha;
-    raises :class:`SingularSlopeError` inside the guard window.
+    integrals, then subtracts h(g).  Valid on both sides of |s| = alpha and
+    continuous through it.
     """
     s = _check_slope(s)
     aux = laplacian_upper_bound_terms(s, alpha, loss)

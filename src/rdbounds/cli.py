@@ -174,8 +174,6 @@ def _sweep_point(source, loss, selected, s, d, args):
     def note_clamp(name, point):
         if point.clamped:
             flags.append(f"{name}_clamped:{point.raw_rate:.6g}")
-        if point.flag:
-            flags.append(point.flag)
 
     if "slb" in selected:
         raw = bounds_mod.shannon_lower_bound(d, h_p, loss)
@@ -193,12 +191,9 @@ def _sweep_point(source, loss, selected, s, d, args):
         if not isinstance(source, Laplacian):
             flags.append("rau_unsupported")
         else:
-            try:
-                pt = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
-                values["R_au"] = pt.r
-                note_clamp("rau", pt)
-            except bounds_mod.SingularSlopeError:
-                flags.append("rau_singular_slope")
+            pt = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
+            values["R_au"] = pt.r
+            note_clamp("rau", pt)
     if "rge" in selected:
         pt = bounds_mod.gaussian_entropy_bound(source, s, loss)
         values["R_ge"] = pt.r
@@ -353,10 +348,7 @@ def _verify_checks(source, loss, args) -> list[dict]:
         rge = bounds_mod.gaussian_entropy_bound(source, s, loss)
         worst_ge = max(worst_ge, ru.raw_rate - rge.raw_rate)
         if isinstance(source, Laplacian):
-            try:
-                rau = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
-            except bounds_mod.SingularSlopeError:
-                continue
+            rau = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
             worst_au = max(worst_au, ru.raw_rate - rau.raw_rate)
     checks.append({"name": "dominance_ru_rge", "max_excess": worst_ge, "tol": 1e-9,
                    "passed": worst_ge <= 1e-9})

@@ -1,10 +1,11 @@
-"""Numeric convolution of a source with the tilted kernel, and its entropy.
+"""Convolution of a source with the tilted kernel, and its entropy.
 
 The blurred density r(y) = (g * p)(y) is the reproduction marginal of the
-test channel behind the convolution upper bound.  Smooth sources are handled
-by Gauss-Legendre panels over the kernel's support (kinks of the kernel land
-on panel edges; kinks of the source density get a local panel split).
-Tabulated sources use exact cellwise integrals of the kernel CDF.
+test channel behind the convolution upper bound.  Each source family has its
+own exact density: the Laplacian and the Gaussian in closed form, tabulated
+sources by exact cellwise integrals of the kernel CDF.  The entropy of r is
+a Gauss-Legendre panel sum on the half line for the two smooth families and
+composite Simpson for tabulated sources.
 """
 
 from __future__ import annotations
@@ -12,32 +13,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
-from .quadrature import gauss_legendre, panel_edges, panel_nodes
-from .sources import Source, Tabulated
-from .tilted import EpsilonLoss, _check_slope, tilted_cdf, tilted_pdf
+from .quadrature import panel_edges, panel_nodes
+from .sources import Gaussian, Laplacian, Source, Tabulated
+from .tilted import EpsilonLoss, _check_slope, normalizer, tilted_cdf
 
-__all__ = ["conv_pdf", "conv_entropy"]
+__all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy"]
 
-_GL = 64
 _CHUNK = 512
 
 
 def _kernel_reach(s: float) -> float:
     # beyond eps + 45/|s| the kernel is below e^-45 of its peak
     return 45.0 / abs(s)
-
-
-def _kernel_edges(s: float, loss: EpsilonLoss, smooth_scale: float) -> np.ndarray:
-    eps = loss.epsilon
-    reach = _kernel_reach(s)
-    skirt = min(30.0 / abs(s), 2.0 * smooth_scale)
-    left = panel_edges([-eps - reach, -eps], skirt)
-    right = panel_edges([eps, eps + reach], skirt)
-    if eps > 0.0:
-        mid = panel_edges([-eps, eps], min(2.0 * smooth_scale, 2.0 * eps))
-        return np.concatenate([left, mid[1:], right[1:]])
-    return np.concatenate([left, right[1:]])
 
 
 def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: float) -> np.ndarray:
@@ -58,51 +47,61 @@ def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: floa
     return np.concatenate([p for p in parts if p.size])
 
 
-def _kink_corrections(source, s, loss, y, edges, base):
-    """Replace, per evaluation point, the panel crossed by a source-pdf kink."""
-    xg, wg = gauss_legendre(_GL)
-    out = base
-    for kink in source.pdf_kinks:
-        t0 = y - kink
-        j = np.searchsorted(edges, t0) - 1
-        valid = (j >= 0) & (j < edges.size - 1)
-        jj = np.clip(j, 0, edges.size - 2)
-        inside = valid & (t0 > edges[jj]) & (t0 < edges[jj + 1])
-        idx = np.nonzero(inside)[0]
-        if idx.size == 0:
-            continue
-        a = edges[jj[idx]]
-        b = edges[jj[idx] + 1]
-        t_mid = t0[idx]
-        yy = y[idx, None]
-
-        def seg(lo, hi):
-            half = 0.5 * (hi - lo)
-            tt = 0.5 * (hi + lo)[:, None] + half[:, None] * xg[None, :]
-            vals = tilted_pdf(tt, s, loss) * source.pdf(yy - tt)
-            return half * (vals * wg[None, :]).sum(axis=1)
-
-        out[idx] += seg(a, t_mid) + seg(t_mid, b) - seg(a, b)
-    return out
+def _exp_divided_difference(u, s: float, alpha: float):
+    """(e^{s u} - e^{-alpha u}) / (s + alpha) for u >= 0, finite at s = -alpha."""
+    return u * np.exp(max(s, -alpha) * u) * special.exprel(-abs(s + alpha) * u)
 
 
-def conv_pdf(source: Source, s: float, loss: EpsilonLoss, y) -> np.ndarray:
-    """(tilted kernel * source density)(y), vectorized over y."""
+def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
+    """Closed form of (tilted kernel * Laplacian density)(y).
+
+    Piecewise in |y|: a flat-band expression inside [-eps, eps] and a sum of
+    exponentials outside; symmetric and continuous.  The outer branch writes
+    its removable 0/0 at |s| = alpha as a divided difference of exponentials,
+    so the density is finite and continuous in s there too.
+    """
     s = _check_slope(s)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if isinstance(source, Tabulated):
-        return _tabulated_conv_pdf(source, s, loss, y)
-    smooth = math.sqrt(source.variance())
-    edges = _kernel_edges(s, loss, smooth)
-    t, w = panel_nodes(edges, _GL)
-    gw = w * tilted_pdf(t, s, loss)
-    out = np.empty_like(y)
-    for start in range(0, y.size, _CHUNK):
-        block = slice(start, start + _CHUNK)
-        out[block] = source.pdf(y[block, None] - t[None, :]) @ gw
-    if source.pdf_kinks:
-        out = _kink_corrections(source, s, loss, y, edges, out)
-    return out
+    alpha = float(alpha)
+    eps = loss.epsilon
+    c1 = s / (alpha - s)
+    ay = np.abs(np.asarray(y, dtype=float))
+    u = np.maximum(ay - eps, 0.0)
+    far = c1 * np.exp(-alpha * (ay + eps))
+    # exponent clipped at 0: out-of-branch lanes of np.where stay finite
+    inner = far + c1 * np.exp(np.minimum(alpha * (ay - eps), 0.0)) + 2.0
+    outer = (
+        far
+        + (2.0 * alpha - s) / (alpha - s) * np.exp(-alpha * u)
+        + 2.0 * alpha**2 / (alpha - s) * _exp_divided_difference(u, s, alpha)
+    )
+    out = np.where(ay < eps, inner, outer) / (2.0 * normalizer(s, loss))
+    return out if out.ndim else float(out)
+
+
+def _gaussian_tail(w, s: float, sigma: float):
+    """C(s) times the contribution of the kernel's right tail at offset w = y - eps.
+
+    Equals e^{s^2 sigma^2 / 2 + s w} P(Z > (|s| sigma^2 - w) / sigma), an
+    exponentially modified Gaussian.  Where the normal argument is positive the
+    product is rewritten with erfcx, which keeps it free of overflow.
+    """
+    b = abs(s)
+    z = (b * sigma * sigma - w) / sigma
+    scaled = 0.5 * special.erfcx(np.maximum(z, 0.0) / math.sqrt(2.0)) * np.exp(
+        -0.5 * (w / sigma) ** 2)
+    direct = np.exp(np.minimum(0.5 * (b * sigma) ** 2 - b * w, 0.0)) * 0.5 * special.erfc(
+        np.minimum(z, 0.0) / math.sqrt(2.0))
+    return np.where(z >= 0.0, scaled, direct)
+
+
+def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
+    """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails."""
+    eps = loss.epsilon
+    ay = np.abs(y)
+    root2 = math.sqrt(2.0) * sigma
+    band = 0.5 * (special.erfc((ay - eps) / root2) - special.erfc((ay + eps) / root2))
+    tails = _gaussian_tail(ay - eps, s, sigma) + _gaussian_tail(-ay - eps, s, sigma)
+    return (band + tails) / normalizer(s, loss)
 
 
 def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
@@ -116,6 +115,38 @@ def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
     return out
 
 
+def _unsupported(source: Source) -> TypeError:
+    return TypeError(f"no convolution density for source type {type(source).__name__}")
+
+
+def conv_pdf(source: Source, s: float, loss: EpsilonLoss, y) -> np.ndarray:
+    """(tilted kernel * source density)(y), vectorized over y.
+
+    Supports Laplacian, Gaussian and Tabulated sources; any other source type
+    raises TypeError.
+    """
+    s = _check_slope(s)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if isinstance(source, Laplacian):
+        return laplacian_conv_pdf(y, s, source.alpha, loss)
+    if isinstance(source, Gaussian):
+        return _gaussian_conv_pdf(y, s, source.sigma, loss)
+    if isinstance(source, Tabulated):
+        return _tabulated_conv_pdf(source, s, loss, y)
+    raise _unsupported(source)
+
+
+def _laplacian_upper(s: float, alpha: float, loss: EpsilonLoss) -> float:
+    """Half-line limit past which r is below ~e^-40 of its scale."""
+    rate = min(alpha, abs(s))
+    # the divided difference is at most min(u, 1/|s + alpha|) e^{-rate u}; u
+    # is capped at the 40/rate decay length the limit has to cover
+    coef = (2.0 * alpha - s) / (alpha - s) + 2.0 * alpha**2 / (
+        (alpha - s) * max(abs(s + alpha), rate / 40.0))
+    c = normalizer(s, loss)
+    return loss.epsilon + (40.0 + math.log(coef) + max(0.0, -math.log(2.0 * c))) / rate
+
+
 def _neg_r_log_r(r):
     r = np.maximum(r, 0.0)
     return -np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
@@ -124,21 +155,23 @@ def _neg_r_log_r(r):
 def conv_entropy(source: Source, s: float, loss: EpsilonLoss, refine: int = 1) -> float:
     """Differential entropy of (tilted kernel * source), by panel quadrature.
 
-    refine multiplies the panel density (used for stability checks).
+    refine multiplies the panel density (used for stability checks).  Source
+    types other than Laplacian, Gaussian and Tabulated raise TypeError.
     """
     s = _check_slope(s)
     if isinstance(source, Tabulated):
         return _tabulated_conv_entropy(source, s, loss, refine)
-    smooth = math.sqrt(source.variance()) / refine
-    upper = source.tail_span(1e-16) + loss.epsilon + _kernel_reach(s)
-    if source.symmetric:
-        edges = _entropy_edges(s, loss, upper, smooth)
-        yn, wq = panel_nodes(edges, _GL)
-        return 2.0 * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
-    edges_pos = _entropy_edges(s, loss, upper, smooth)
-    yn = np.concatenate([-edges_pos[::-1], edges_pos[1:]])
-    yn, wq = panel_nodes(yn, _GL)
-    return float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
+    if isinstance(source, Laplacian):
+        upper = _laplacian_upper(s, source.alpha, loss)
+        smooth = 15.0 / source.alpha
+    elif isinstance(source, Gaussian):
+        upper = source.tail_span(1e-16) + loss.epsilon + _kernel_reach(s)
+        smooth = source.sigma
+    else:
+        raise _unsupported(source)
+    # r is even, so integrate over the half line and double
+    yn, wq = panel_nodes(_entropy_edges(s, loss, upper, smooth / refine))
+    return 2.0 * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
 
 
 def _tabulated_conv_entropy(source: Tabulated, s, loss, refine):

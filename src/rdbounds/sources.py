@@ -27,9 +27,6 @@ __all__ = [
     "load_tabulated_csv",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def erfc_tail(x):
     """Upper-tail standard normal probability P(Z > x), accurate to ~1e-16."""
     x = np.asarray(x, dtype=float)
@@ -37,30 +34,8 @@ def erfc_tail(x):
     return out if out.ndim else float(out)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
 class Source(ABC):
     """Immutable source density with the summaries the bounds consume."""
-
-    #: locations where the density is not smooth (used by convolution panels)
-    pdf_kinks: tuple = ()
-    #: symmetric about zero (enables half-line entropy quadrature)
-    symmetric: bool = False
 
     @abstractmethod
     def pdf(self, x):
@@ -95,9 +70,6 @@ class Laplacian(Source):
 
     alpha: float
 
-    pdf_kinks = (0.0,)
-    symmetric = True
-
     def __post_init__(self):
         a = float(self.alpha)
         if not math.isfinite(a) or a <= 0.0:
@@ -130,8 +102,6 @@ class Gaussian(Source):
     """Zero-mean normal density with variance sigma2."""
 
     sigma2: float
-
-    symmetric = True
 
     def __post_init__(self):
         v = float(self.sigma2)
@@ -223,12 +193,16 @@ class Tabulated(Source):
         return float(np.dot(self.masses, self.grid))
 
     def d_max(self, loss: EpsilonLoss) -> float:
-        # E[loss(X - y)] is convex in y, so golden section over the hull is safe
-        def objective(y):
-            return float(np.dot(self.masses, loss(self.grid - y)))
-
-        y_star = _golden_min(objective, float(self.grid[0]), float(self.grid[-1]), 1e-10)
-        return objective(y_star)
+        # E[loss(X - y)] is convex and piecewise linear in y with slope
+        # P(X < y - eps) - P(X > y + eps).  That slope starts at -1 and each
+        # breakpoint x_i -/+ eps raises it by m_i, so the minimiser is the
+        # first breakpoint, in sorted order, where the running slope reaches 0.
+        eps = loss.epsilon
+        breaks = np.concatenate([self.grid - eps, self.grid + eps])
+        order = np.argsort(breaks, kind="stable")
+        slope = np.cumsum(np.concatenate([self.masses, self.masses])[order]) - 1.0
+        y_star = breaks[order[np.argmax(slope >= 0.0)]]
+        return float(np.dot(self.masses, loss(self.grid - y_star)))
 
     def tail_mass(self, t: float) -> float:
         return float(self.masses[np.abs(self.grid) > t].sum())

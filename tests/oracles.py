@@ -59,6 +59,38 @@ def conv_quad(source_pdf, s, eps, y, extra_points=(0.0,)):
     return val
 
 
+def ru_quad(source_pdf, s, eps, support, kinks=()):
+    """R_U = h(g * p) - h(g) for an even source density, by nested quadrature.
+
+    The inner integral gives (g * p)(y) over the overlap of the kernel's reach
+    with [-support, support], outside which p is negligible; the outer one
+    integrates -r log r over the half line.  ``kinks`` are the points where
+    p is not smooth.
+    """
+    c = 2.0 * (1.0 + abs(s) * eps) / abs(s)
+    reach = eps + 60.0 / abs(s)
+
+    def conv(y):
+        lo, hi = max(y - reach, -support), min(y + reach, support)
+        if hi <= lo:
+            return 0.0
+        pts = [p for p in (y - eps, y + eps, *kinks) if lo < p < hi]
+        val, _ = integrate.quad(
+            lambda x: math.exp(s * max(abs(y - x) - eps, 0.0)) / c * source_pdf(x),
+            lo, hi, points=pts or None, limit=200, epsabs=1e-15, epsrel=1e-13)
+        return val
+
+    def neg_r_log_r(y):
+        r = conv(y)
+        return -r * math.log(r) if r > 0.0 else 0.0
+
+    upper = support + reach
+    pts = sorted({eps, *(abs(k) + eps for k in kinks)} - {0.0})
+    h_r, _ = integrate.quad(neg_r_log_r, 0.0, upper, points=pts or None, limit=400,
+                            epsabs=1e-13, epsrel=1e-12)
+    return 2.0 * h_r - tilted_entropy_quad(s, eps)
+
+
 def cosine_transform_quad(s, eps, omega):
     """2 * int_0^inf g(x) cos(omega x) dx by oscillatory-weight quadrature."""
     c = 2.0 * (1.0 + abs(s) * eps) / abs(s)

@@ -176,7 +176,7 @@ def test_criterion_8_closed_form_vs_quadrature():
             for omega in (0.3, 1.0, 3.7, 10.0):
                 worst["cf"] = max(worst["cf"], abs(
                     rb.tilted_cf(omega, s, loss) - oracles.cosine_transform_quad(s, eps, omega)))
-    for s in (-0.5, -3.0, -20.0):
+    for s in (-0.5, -ALPHA, -3.0, -20.0):
         for eps in (0.05, 0.1, 0.5):
             loss = rb.EpsilonLoss(eps)
             for y in (0.0, eps, 2 * eps, 1.0):

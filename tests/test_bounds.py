@@ -8,7 +8,6 @@ from rdbounds import (
     EpsilonLoss,
     Gaussian,
     Laplacian,
-    SingularSlopeError,
     analytic_upper_bound_laplacian,
     conv_entropy,
     conv_pdf,
@@ -31,6 +30,9 @@ LAP = Laplacian(ALPHA)
 GAU = Gaussian(1.0)
 H_LAP = LAP.differential_entropy()
 H_GAU = GAU.differential_entropy()
+# s = -alpha, where the Laplacian closed forms have a removable 0/0, and a
+# relative step of 1e-9 to either side of it
+MATCHED = (-ALPHA, -ALPHA * (1.0 + 1e-9), -ALPHA * (1.0 - 1e-9))
 
 
 class TestShannonLowerBound:
@@ -139,35 +141,20 @@ class TestLaplacianConvPdf:
                 LAP.pdf(y), rel=1e-5
             )
 
-    def test_singular_window_raises(self):
-        with pytest.raises(SingularSlopeError):
-            laplacian_conv_pdf(0.3, -ALPHA * (1.0 + 1e-9), ALPHA, EpsilonLoss(0.1))
+    def test_continuous_through_matched_slope(self):
+        y = np.array([0.0, 0.05, 0.1, 0.3, 2.0, 12.0])
+        vals = np.array([laplacian_conv_pdf(y, s, ALPHA, EpsilonLoss(0.1)) for s in MATCHED])
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        assert np.max(np.abs(vals[1:] / vals[0] - 1.0)) <= 1e-8
 
 
 class TestNumericConvolution:
-    @pytest.mark.parametrize("s", [-0.5, -3.0, -20.0, -200.0])
-    def test_matches_laplacian_closed_form(self, s):
-        loss = EpsilonLoss(0.1)
-        y = np.array([0.0, 0.05, 0.1, 0.5, 2.0, 6.0])
-        got = conv_pdf(LAP, s, loss, y)
-        want = laplacian_conv_pdf(y, s, ALPHA, loss)
-        assert np.max(np.abs(got - want)) < 1e-9
-
-    @pytest.mark.parametrize("s", [-0.7, -5.0, -50.0])
+    @pytest.mark.parametrize("s", [-0.7, -5.0, -50.0, -200.0])
     def test_gaussian_against_quadrature(self, s):
         loss = EpsilonLoss(0.1)
-        for y in (0.0, 0.1, 0.35, 2.0):
+        for y in (0.0, 0.1, 0.35, 2.0, 8.0, 12.0):
             want = oracles.conv_quad(GAU.pdf, s, 0.1, y, extra_points=())
             assert conv_pdf(GAU, s, loss, [y])[0] == pytest.approx(want, abs=1e-9)
-
-    def test_entropy_matches_closed_form_route(self):
-        from rdbounds.bounds import _laplacian_conv_entropy
-
-        loss = EpsilonLoss(0.1)
-        for s in (-0.5, -3.0, -40.0):
-            assert conv_entropy(LAP, s, loss) == pytest.approx(
-                _laplacian_conv_entropy(s, ALPHA, loss), abs=1e-8
-            )
 
     def test_entropy_stable_under_refinement(self):
         loss = EpsilonLoss(0.1)
@@ -192,13 +179,24 @@ class TestConvolutionUpperBound:
         assert 0.0 <= pt.r < 1e-2
         assert shannon_lower_bound(pt.d, H_LAP, loss) <= 0.0
 
-    def test_guard_window_falls_back_to_numeric(self):
-        loss = EpsilonLoss(0.1)
-        s = -ALPHA * (1.0 + 1e-9)
-        pt = convolution_upper_bound(LAP, s, loss)
-        assert pt.flag == "ru_numeric_fallback"
-        nearby = convolution_upper_bound(LAP, -ALPHA * 1.01, loss)
-        assert pt.r == pytest.approx(nearby.r, abs=5e-3)
+    @pytest.mark.parametrize("src,s", [
+        (LAP, -0.5), (LAP, -ALPHA), (LAP, -5.0), (LAP, -50.0),
+        (GAU, -0.5), (GAU, -5.0), (GAU, -200.0),
+    ])
+    def test_matches_nested_quadrature(self, src, s):
+        if src is LAP:
+            want = oracles.ru_quad(LAP.pdf, s, 0.1, support=40.0, kinks=(0.0,))
+        else:
+            want = oracles.ru_quad(GAU.pdf, s, 0.1, support=9.5)
+        assert convolution_upper_bound(src, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
+            want, abs=1e-8)
+
+    def test_continuous_through_matched_slope(self):
+        pts = [convolution_upper_bound(LAP, s, EpsilonLoss(0.1)) for s in MATCHED]
+        rates = np.array([pt.raw_rate for pt in pts])
+        assert np.all(np.isfinite(rates))
+        assert not any(pt.flag or pt.clamped for pt in pts)
+        assert np.max(np.abs(rates[1:] - rates[0])) <= 1e-8
 
 
 class TestGaussianEntropyBound:
@@ -259,9 +257,12 @@ class TestAnalyticUpperBound:
         slb = shannon_lower_bound(rau.d, H_LAP, loss)
         assert 0.0 < rau.raw_rate - slb <= 0.6 * (ALPHA * eps) ** 2
 
-    def test_singular_window_raises(self):
-        with pytest.raises(SingularSlopeError):
-            analytic_upper_bound_laplacian(-ALPHA, ALPHA, EpsilonLoss(0.1))
+    def test_continuous_through_matched_slope(self):
+        pts = [analytic_upper_bound_laplacian(s, ALPHA, EpsilonLoss(0.1)) for s in MATCHED]
+        rates = np.array([pt.raw_rate for pt in pts])
+        assert np.all(np.isfinite(rates))
+        assert not any(pt.flag or pt.clamped for pt in pts)
+        assert np.max(np.abs(rates[1:] - rates[0])) <= 1e-8
 
 
 class TestStrictnessValue:

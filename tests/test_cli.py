@@ -117,6 +117,18 @@ class TestBoundsSweep:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 1
+        # s = -alpha: every Laplacian bound is filled; the only flag is the
+        # lower bound's clamp, which is negative at the matched slope
+        code, out, _ = run_cli(
+            capsys, "bounds", "--source", "laplacian", "--alpha", "1.41421356237",
+            "--epsilon", "0.1", "--grid-count", "1", "--grid-min", "1.41421356237",
+            "--bounds", "slb,ru,rau,rge",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1 and float(rows[0][0]) == -1.41421356237
+        assert all(rows[0][i] != "" for i in (2, 3, 4, 5))
+        assert rows[0][-1].startswith("slb_clamped:") and ";" not in rows[0][-1]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
