@@ -23,7 +23,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .bounds import RDPoint
-from .sources import Source
+from .sources import Source, _check_grid
 from .tilted import EpsilonLoss, _check_slope
 
 __all__ = ["BAProblem", "BAResult", "auto_span", "build_problem", "ba_iterate", "ba_curve"]
@@ -42,28 +42,12 @@ class BAProblem:
     s: float
 
     def __post_init__(self):
-        x = np.asarray(self.x_grid, dtype=float).copy()
-        p = np.asarray(self.p_mass, dtype=float).copy()
+        x, p = _check_grid(self.x_grid, self.p_mass, "x_grid", "p_mass")
         y = np.asarray(self.y_grid, dtype=float).copy()
-        if x.ndim != 1 or x.size < 2 or p.shape != x.shape:
-            raise ValueError("x_grid and p_mass must be 1-d arrays of equal length >= 2")
-        steps = np.diff(x)
-        if np.any(steps <= 0):
-            raise ValueError("x_grid must be strictly increasing")
-        h = float(steps.mean())
-        if np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
-            raise ValueError("x_grid must be uniformly spaced")
         if not np.array_equal(x, y):
             raise ValueError("y_grid must match x_grid")
-        if np.any(p < 0) or np.any(~np.isfinite(p)):
-            raise ValueError("p_mass must be finite and nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"p_mass must sum to 1 within 1e-9, got {total!r}")
-        p /= total
         _check_slope(self.s)
-        for arr in (x, p, y):
-            arr.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "p_mass", p)
         object.__setattr__(self, "y_grid", y)

@@ -204,14 +204,12 @@ def _sweep_point(source, loss, selected, s, d, args):
         else:
             flags.append("trivial_unsupported")
     if "ba" in selected:
-        try:
-            problem = ba_mod.build_problem(source, loss, s, n=args.ba_n)
-            result = ba_mod.ba_iterate(problem, tol=args.ba_tol, max_iter=args.ba_max_iter)
-            values["R_ba"] = result.rate
-            if not result.converged:
-                flags.append("ba_not_converged")
-        except (ValueError, ArithmeticError) as exc:
-            flags.append(f"ba_error:{exc}")
+        pt = ba_mod.ba_curve(source, loss, [s], n=args.ba_n, tol=args.ba_tol,
+                             max_iter=args.ba_max_iter)[0]
+        if not math.isnan(pt.r):
+            values["R_ba"] = pt.r
+        if pt.flag:
+            flags.append(pt.flag)
     return {"s": s, "D": d, **values, "flags": ";".join(flags)}
 
 

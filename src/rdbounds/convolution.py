@@ -4,8 +4,10 @@ The blurred density r(y) = (g * p)(y) is the reproduction marginal of the
 test channel behind the convolution upper bound.  Each source family has its
 own exact density: the Laplacian and the Gaussian in closed form, tabulated
 sources by exact cellwise integrals of the kernel CDF.  The entropy of r is
-a Gauss-Legendre panel sum on the half line for the two smooth families and
-composite Simpson for tabulated sources.
+one Gauss-Legendre panel sum for every family; each family supplies only its
+panel edges: the half line for the two even smooth densities, and breaks at
+every cell edge +- eps for tabulated sources, where r is linear plus
+exponentials between breaks.
 """
 
 from __future__ import annotations
@@ -152,45 +154,38 @@ def _neg_r_log_r(r):
     return -np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
 
 
+def _tabulated_entropy_edges(source: Tabulated, s: float, loss: EpsilonLoss, refine: int):
+    """Panel edges on the real line with a break at every cell edge +- eps."""
+    h = source.spacing
+    cell_edges = np.concatenate([source.grid - 0.5 * h, [source.grid[-1] + 0.5 * h]])
+    eps = loss.epsilon
+    reach = eps + _kernel_reach(s)
+    breaks = np.concatenate([[cell_edges[0] - reach], cell_edges - eps, cell_edges + eps,
+                             [cell_edges[-1] + reach]])
+    return panel_edges(np.unique(breaks), 2.0 / (abs(s) * refine))
+
+
 def conv_entropy(source: Source, s: float, loss: EpsilonLoss, refine: int = 1) -> float:
     """Differential entropy of (tilted kernel * source), by panel quadrature.
 
-    refine multiplies the panel density (used for stability checks).  Source
+    refine divides the panel length (used for stability checks).  Source
     types other than Laplacian, Gaussian and Tabulated raise TypeError.
     """
     s = _check_slope(s)
     if isinstance(source, Tabulated):
-        return _tabulated_conv_entropy(source, s, loss, refine)
-    if isinstance(source, Laplacian):
-        upper = _laplacian_upper(s, source.alpha, loss)
-        smooth = 15.0 / source.alpha
-    elif isinstance(source, Gaussian):
-        upper = source.tail_span(1e-16) + loss.epsilon + _kernel_reach(s)
-        smooth = source.sigma
+        # r is linear plus exponentials of rate |s| on each panel, and no panel
+        # is longer than 2/|s|, so 8 nodes reach round-off
+        edges, n, factor = _tabulated_entropy_edges(source, s, loss, refine), 8, 1.0
     else:
-        raise _unsupported(source)
-    # r is even, so integrate over the half line and double
-    yn, wq = panel_nodes(_entropy_edges(s, loss, upper, smooth / refine))
-    return 2.0 * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
-
-
-def _tabulated_conv_entropy(source: Tabulated, s, loss, refine):
-    # r has derivative kinks at every cell edge shifted by +-eps, so composite
-    # Simpson on a fine uniform grid is the robust choice here (~1e-6 target)
-    reach = loss.epsilon + _kernel_reach(s)
-    lo = float(source.grid[0]) - 0.5 * source.spacing - reach
-    hi = float(source.grid[-1]) + 0.5 * source.spacing + reach
-    scales = [source.spacing, 1.0 / abs(s)]
-    if loss.epsilon > 0.0:
-        scales.append(loss.epsilon)
-    step = min(scales) / (6.0 * refine)
-    n = int(math.ceil((hi - lo) / step))
-    n = min(max(n, 64), 400_000)
-    if n % 2 == 1:
-        n += 1
-    yn = np.linspace(lo, hi, n + 1)
-    vals = _neg_r_log_r(conv_pdf(source, s, loss, yn))
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((hi - lo) / n / 3.0 * np.dot(w, vals))
+        if isinstance(source, Laplacian):
+            upper = _laplacian_upper(s, source.alpha, loss)
+            smooth = 15.0 / source.alpha
+        elif isinstance(source, Gaussian):
+            upper = source.tail_span(1e-16) + loss.epsilon + _kernel_reach(s)
+            smooth = source.sigma
+        else:
+            raise _unsupported(source)
+        # r is even, so integrate over the half line and double
+        edges, n, factor = _entropy_edges(s, loss, upper, smooth / refine), 64, 2.0
+    yn, wq = panel_nodes(edges, n)
+    return factor * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))

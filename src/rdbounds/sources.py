@@ -34,6 +34,33 @@ def erfc_tail(x):
     return out if out.ndim else float(out)
 
 
+def _check_grid(grid, masses, grid_name: str, mass_name: str):
+    """Read-only copies of a uniform grid and its masses, the masses renormalized.
+
+    The grid must be 1-d, strictly increasing and uniform to 1e-8; the masses
+    must be finite, nonnegative and sum to 1 within 1e-9.
+    """
+    grid = np.asarray(grid, dtype=float).copy()
+    masses = np.asarray(masses, dtype=float).copy()
+    if grid.ndim != 1 or grid.size < 2 or masses.shape != grid.shape:
+        raise ValueError(f"{grid_name} and {mass_name} must be 1-d arrays of equal length >= 2")
+    steps = np.diff(grid)
+    if np.any(steps <= 0):
+        raise ValueError(f"{grid_name} must be strictly increasing")
+    h = float(steps.mean())
+    if np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
+        raise ValueError(f"{grid_name} must be uniformly spaced")
+    if np.any(masses < 0) or np.any(~np.isfinite(masses)):
+        raise ValueError(f"{mass_name} must be finite and nonnegative")
+    total = float(masses.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{mass_name} must sum to 1 within 1e-9, got {total!r}")
+    masses /= total
+    grid.setflags(write=False)
+    masses.setflags(write=False)
+    return grid, masses
+
+
 class Source(ABC):
     """Immutable source density with the summaries the bounds consume."""
 
@@ -148,24 +175,7 @@ class Tabulated(Source):
     masses: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).copy()
-        masses = np.asarray(self.masses, dtype=float).copy()
-        if grid.ndim != 1 or grid.size < 2 or masses.shape != grid.shape:
-            raise ValueError("grid and masses must be 1-d arrays of equal length >= 2")
-        steps = np.diff(grid)
-        if np.any(steps <= 0):
-            raise ValueError("grid must be strictly increasing")
-        h = float(steps.mean())
-        if np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
-            raise ValueError("grid must be uniformly spaced")
-        if np.any(masses < 0) or np.any(~np.isfinite(masses)):
-            raise ValueError("masses must be finite and nonnegative")
-        total = float(masses.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1 within 1e-9, got {total!r}")
-        masses /= total
-        grid.setflags(write=False)
-        masses.setflags(write=False)
+        grid, masses = _check_grid(self.grid, self.masses, "grid", "masses")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "masses", masses)
 

@@ -8,6 +8,7 @@ from rdbounds import (
     EpsilonLoss,
     Gaussian,
     Laplacian,
+    Tabulated,
     analytic_upper_bound_laplacian,
     conv_entropy,
     conv_pdf,
@@ -33,6 +34,10 @@ H_GAU = GAU.differential_entropy()
 # s = -alpha, where the Laplacian closed forms have a removable 0/0, and a
 # relative step of 1e-9 to either side of it
 MATCHED = (-ALPHA, -ALPHA * (1.0 + 1e-9), -ALPHA * (1.0 - 1e-9))
+# a symmetric triangular source on 15 cells of width 0.3, and the same source
+# shifted by 0.7 so that it is neither centred nor even
+TAB = Tabulated(0.3 * np.arange(-7, 8), (8.0 - np.abs(np.arange(-7, 8))) / 64.0)
+TAB_SHIFTED = Tabulated(TAB.grid + 0.7, TAB.masses)
 
 
 class TestShannonLowerBound:
@@ -156,11 +161,26 @@ class TestNumericConvolution:
             want = oracles.conv_quad(GAU.pdf, s, 0.1, y, extra_points=())
             assert conv_pdf(GAU, s, loss, [y])[0] == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("src", [TAB, TAB_SHIFTED], ids=["symmetric", "shifted"])
+    @pytest.mark.parametrize("s", [-0.5, -5.0, -50.0])
+    def test_tabulated_against_quadrature(self, src, s):
+        eps = 0.1
+        half = 0.5 * src.spacing
+        cell_edges = np.append(src.grid - half, src.grid[-1] + half)
+        # points on cell edge +- eps, where r has kinks, and between them
+        ys = [src.grid[7], cell_edges[3] - eps, cell_edges[3] + eps, cell_edges[0] - eps,
+              cell_edges[-1] + eps, src.grid[-1] + 1.3]
+        got = conv_pdf(src, s, EpsilonLoss(eps), ys)
+        for y, value in zip(ys, got):
+            want = oracles.conv_quad(src.pdf, s, eps, y, extra_points=cell_edges)
+            assert value == pytest.approx(want, abs=1e-9)
+
     def test_entropy_stable_under_refinement(self):
         loss = EpsilonLoss(0.1)
-        h1 = conv_entropy(GAU, -20.0, loss)
-        h2 = conv_entropy(GAU, -20.0, loss, refine=2)
-        assert abs(h1 - h2) < 1e-6
+        for src in (GAU, TAB):
+            h1 = conv_entropy(src, -20.0, loss)
+            h2 = conv_entropy(src, -20.0, loss, refine=2)
+            assert abs(h1 - h2) < 1e-6
 
 
 class TestConvolutionUpperBound:
@@ -190,6 +210,14 @@ class TestConvolutionUpperBound:
             want = oracles.ru_quad(GAU.pdf, s, 0.1, support=9.5)
         assert convolution_upper_bound(src, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-8)
+
+    @pytest.mark.parametrize("src", [TAB, TAB_SHIFTED], ids=["symmetric", "shifted"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("s", [-0.5, -5.0, -50.0])
+    def test_tabulated_matches_kink_quadrature(self, src, eps, s):
+        want = oracles.ru_tabulated_quad(src.grid, src.masses, s, eps)
+        assert convolution_upper_bound(src, s, EpsilonLoss(eps)).raw_rate == pytest.approx(
+            want, abs=1e-10)
 
     def test_continuous_through_matched_slope(self):
         pts = [convolution_upper_bound(LAP, s, EpsilonLoss(0.1)) for s in MATCHED]
