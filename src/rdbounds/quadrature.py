@@ -19,20 +19,28 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def panel_edges(breaks, max_len: float) -> np.ndarray:
+def panel_edges(breaks, max_len) -> np.ndarray:
     """Edge array passing through every breakpoint, panels no longer than max_len.
 
+    max_len is one length, or one length per breakpoint pair.  Each pair
+    (a, b) is cut into k = ceil((b - a) / max_len) equal panels whose edges
+    are the points np.linspace(a, b, k + 1) would give, bit for bit.
     Non-increasing breakpoint pairs are skipped, so degenerate segments
     (e.g. an insensitivity band of width zero) collapse silently.
     """
     breaks = np.asarray(breaks, dtype=float)
-    out = [float(breaks[0])]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b <= a:
-            continue
-        k = max(1, int(np.ceil((b - a) / max_len)))
-        out.extend(np.linspace(a, b, k + 1)[1:].tolist())
-    return np.asarray(out)
+    a, b = breaks[:-1], breaks[1:]
+    keep = b > a
+    max_len = np.broadcast_to(np.asarray(max_len, dtype=float), a.shape)[keep]
+    a, b = a[keep], b[keep]
+    counts = np.maximum(np.ceil((b - a) / max_len), 1.0).astype(np.int64)
+    ends = np.cumsum(counts)
+    pair = np.repeat(np.arange(a.size), counts)
+    j = np.arange(1, int(counts.sum()) + 1) - np.repeat(ends - counts, counts)
+    # np.linspace's arithmetic: j * ((b - a) / k) + a, with the last point set to b
+    points = j * ((b - a) / counts)[pair] + a[pair]
+    points[ends - 1] = b
+    return np.concatenate([breaks[:1], points])
 
 
 def panel_nodes(edges, n: int = 64):

@@ -7,6 +7,7 @@ d_max(loss) = inf_y E[loss(X - y)].
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -218,7 +219,11 @@ class Tabulated(Source):
         return float(self.masses[np.abs(self.grid) > t].sum())
 
     def tail_span(self, mass: float) -> float:
-        return float(np.max(np.abs(self.grid)))
+        """Smallest grid |x| with tail_mass(|x|) <= mass."""
+        spans = np.unique(np.abs(self.grid))
+        # over the sorted spans the test is False, then True from some span on
+        first = bisect.bisect_left(spans, True, key=lambda t: self.tail_mass(t) <= mass)
+        return float(spans[min(first, spans.size - 1)])
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,33 @@ def ru_tabulated_quad(grid, masses, s, eps):
     return h_r - tilted_entropy_quad(s, eps)
 
 
+def conv_cells_quad(grid, masses, s, eps, y):
+    """(g * p)(y) for a piecewise-constant density, one QUADPACK integral per cell.
+
+    Each cell's integral of the kernel pdf is taken with a purely relative
+    tolerance (epsabs = 0) and breaks at y -+ eps, so every term, and their
+    positive sum, keeps relative accuracy however small it is.
+    """
+    b = abs(s)
+    c = 2.0 * (1.0 + b * eps) / b
+    grid = np.asarray(grid, dtype=float)
+    h = grid[1] - grid[0]
+
+    def kernel(x):
+        return math.exp(-b * max(abs(y - x) - eps, 0.0)) / c
+
+    total = 0.0
+    for x, m in zip(grid, masses):
+        if m == 0.0:
+            continue
+        lo, hi = x - 0.5 * h, x + 0.5 * h
+        pts = [p for p in (y - eps, y + eps) if lo < p < hi]
+        val, _ = integrate.quad(kernel, lo, hi, points=pts or None, limit=200, epsabs=0.0,
+                                epsrel=1e-13)
+        total += m / h * val
+    return total
+
+
 def cosine_transform_quad(s, eps, omega):
     """2 * int_0^inf g(x) cos(omega x) dx by oscillatory-weight quadrature."""
     c = 2.0 * (1.0 + abs(s) * eps) / abs(s)

@@ -38,6 +38,8 @@ MATCHED = (-ALPHA, -ALPHA * (1.0 + 1e-9), -ALPHA * (1.0 - 1e-9))
 # shifted by 0.7 so that it is neither centred nor even
 TAB = Tabulated(0.3 * np.arange(-7, 8), (8.0 - np.abs(np.arange(-7, 8))) / 64.0)
 TAB_SHIFTED = Tabulated(TAB.grid + 0.7, TAB.masses)
+# the same grid with no mass on the five middle cells, a gap over (-0.75, 0.75)
+TAB_GAP = Tabulated(TAB.grid, np.where(np.abs(TAB.grid) < 0.7, 0.0, TAB.masses) / 0.46875)
 
 
 class TestShannonLowerBound:
@@ -174,6 +176,31 @@ class TestNumericConvolution:
         for y, value in zip(ys, got):
             want = oracles.conv_quad(src.pdf, s, eps, y, extra_points=cell_edges)
             assert value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("s", [-5.0, -50.0])
+    def test_tabulated_relative_accuracy_where_tiny(self, eps, s):
+        # in the zero-mass gap and 1-3 beyond either end of the support r is
+        # far below the density's scale (down to ~1e-60), but still a sum of
+        # positive terms, so it keeps its relative accuracy
+        ys = [-0.6, -0.3, 0.0, 0.45, 0.7, -3.25, -4.25, -5.25, 3.25, 4.25, 5.25]
+        got = conv_pdf(TAB_GAP, s, EpsilonLoss(eps), ys)
+        for y, value in zip(ys, got):
+            want = oracles.conv_cells_quad(TAB_GAP.grid, TAB_GAP.masses, s, eps, y)
+            assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_tabulated_independent_of_node_order(self):
+        eps = 0.1
+        half = 0.5 * TAB.spacing
+        cell_edges = np.append(TAB.grid - half, TAB.grid[-1] + half)
+        ys = np.concatenate([cell_edges - eps, cell_edges + eps, cell_edges,
+                             np.linspace(-4.0, 4.0, 1201)])
+        ys = np.sort(np.concatenate([ys, ys[::7]]))  # with duplicates
+        shuffled = np.random.default_rng(3).permutation(ys.size)
+        for s in (-0.5, -50.0):
+            want = conv_pdf(TAB, s, EpsilonLoss(eps), ys)
+            got = conv_pdf(TAB, s, EpsilonLoss(eps), ys[shuffled])
+            np.testing.assert_array_equal(got, want[shuffled])
 
     def test_entropy_stable_under_refinement(self):
         loss = EpsilonLoss(0.1)

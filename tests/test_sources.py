@@ -129,6 +129,25 @@ class TestTabulatedConvergence:
         assert errs_d[1] <= errs_d[0] / 2 and errs_d[2] <= errs_d[1] / 2
 
 
+class TestTabulatedTailSpan:
+    @pytest.mark.parametrize("mass", [0.0, 1e-12, 1e-10, 1e-6, 1e-2, 0.3, 1.0])
+    def test_smallest_grid_point_meeting_the_mass(self, mass):
+        shifted = discretized(Laplacian(ALPHA), 801, 16.0)
+        shifted = Tabulated(shifted.grid + 0.37, shifted.masses)
+        for tab in (discretized(Laplacian(ALPHA), 801, 16.0), shifted):
+            span = tab.tail_span(mass)
+            assert tab.tail_mass(span) <= mass
+            smaller = np.abs(tab.grid)[np.abs(tab.grid) < span]
+            if smaller.size:
+                assert tab.tail_mass(smaller.max()) > mass
+
+    def test_ends_carrying_mass_keep_the_full_span(self):
+        tab = Tabulated(np.linspace(-2.0, 2.0, 5), np.full(5, 0.2))
+        assert tab.tail_span(1e-10) == 2.0
+        assert tab.tail_span(0.4) == 1.0
+        assert tab.tail_span(1.0) == 0.0
+
+
 class TestTabulatedValidation:
     def test_nonuniform_grid(self):
         with pytest.raises(ValueError, match="uniform"):
