@@ -8,7 +8,6 @@ discretized Blahut-Arimoto solver used to certify the bound sandwich.
 
 from .ba import BAProblem, BAResult, auto_span, ba_curve, ba_iterate, build_problem
 from .bounds import (
-    LaplacianAuxiliaries,
     RDPoint,
     analytic_upper_bound_laplacian,
     convolution_upper_bound,
@@ -24,11 +23,9 @@ from .sources import (
     Gaussian,
     Laplacian,
     Source,
-    SourceSummary,
     Tabulated,
     erfc_tail,
     load_tabulated_csv,
-    summarize,
 )
 from .spectral import (
     first_witness_index,
@@ -40,11 +37,9 @@ from .spectral import (
 )
 from .tilted import (
     EpsilonLoss,
-    SlopeState,
     distortion_of_slope,
     normalizer,
     slope_of_distortion,
-    slope_state,
     tilted_cdf,
     tilted_entropy,
     tilted_pdf,
@@ -59,11 +54,8 @@ __all__ = [
     "EpsilonLoss",
     "Gaussian",
     "Laplacian",
-    "LaplacianAuxiliaries",
     "RDPoint",
-    "SlopeState",
     "Source",
-    "SourceSummary",
     "Tabulated",
     "analytic_upper_bound_laplacian",
     "auto_span",
@@ -89,8 +81,6 @@ __all__ = [
     "slb_at_matched_slope",
     "slb_zero",
     "slope_of_distortion",
-    "slope_state",
-    "summarize",
     "tilted_cdf",
     "tilted_cf",
     "tilted_entropy",

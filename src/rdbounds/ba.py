@@ -9,15 +9,16 @@ starting from the uniform distribution.  Identical uniform source and
 reproduction grids make K symmetric Toeplitz, so both matrix products per
 iteration are FFT circular convolutions (O(N log N), O(N) kernel storage).
 
-The variational objective F(q) = -sum_i p[i] log (K q)[i] is recorded every
-iteration; the update never increases it, which is asserted with 1e-12 slack
-and any violation is counted in the result instead of aborting the sweep.
+The variational objective F(q) = -sum_i p[i] log (K q)[i] is evaluated at
+every iterate; the update never increases it, which is checked against the
+previous iterate with 1e-12 slack, and any violation is counted in the result
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -66,40 +67,24 @@ class BAResult:
     rate: float
     iterations: int
     converged: bool
-    objective_trace: np.ndarray = field(repr=False)
     objective_violations: int = 0
     max_objective_rise: float = 0.0
 
 
-def auto_span(source: Source, tail: float = 1e-10) -> float:
-    """Half-width whose truncated tail mass is strictly below ``tail``."""
-    return 1.002 * source.tail_span(tail)
+def auto_span(source: Source) -> float:
+    """Half-width whose truncated tail mass is strictly below 1e-10."""
+    return 1.002 * source.tail_span(1e-10)
 
 
-def build_problem(
-    source: Source,
-    loss: EpsilonLoss,
-    s: float,
-    n: int = 2001,
-    span_sigmas: float | None = None,
-) -> BAProblem:
+def build_problem(source: Source, loss: EpsilonLoss, s: float, n: int = 2001) -> BAProblem:
     """Discretize a source on a symmetric uniform grid of n (odd) points.
 
-    The span is span_sigmas standard deviations when given, otherwise chosen
-    so the truncated tail mass is below 1e-10; a requested span leaving more
-    than 1e-8 in the tails is rejected.
+    The half-width is ``auto_span(source)``.
     """
     n = int(n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n!r}")
-    if span_sigmas is not None:
-        half = float(span_sigmas) * math.sqrt(source.variance())
-        if source.tail_mass(half) > 1e-8:
-            raise ValueError(
-                f"insufficient span: tail mass {source.tail_mass(half):.3e} exceeds 1e-8"
-            )
-    else:
-        half = auto_span(source)
+    half = auto_span(source)
     x = np.linspace(-half, half, n)
     p = source.pdf(x) * (x[1] - x[0])
     total = float(p.sum())
@@ -143,36 +128,29 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
     p_idx = p > 0.0
 
     q = np.full(n, 1.0 / n)
-    trace: list[float] = []
+    previous = math.inf
     violations = 0
     max_rise = 0.0
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    # each pass evaluates z and F at the current q (after `iterations` updates),
+    # then stops or updates q
+    for iterations in range(max_iter + 1):
         z = np.maximum(kernel.apply(q), _TINY)
         objective = -float(np.dot(p[p_idx], np.log(z[p_idx])))
-        if trace and objective > trace[-1] + 1e-12:
+        if objective > previous + 1e-12:
             violations += 1
-            max_rise = max(max_rise, objective - trace[-1])
-        trace.append(objective)
-        w = kernel.apply(p / z)
-        q_next = q * w
+            max_rise = max(max_rise, objective - previous)
+        previous = objective
+        if converged or iterations == max_iter:
+            break
+        q_next = q * kernel.apply(p / z)
         q_next[q_next < _TINY] = 0.0
         q_next /= q_next.sum()
         if not np.all(np.isfinite(q_next)):
             raise ArithmeticError("Blahut-Arimoto iterate became non-finite")
-        delta = float(np.max(np.abs(q_next - q)))
+        converged = float(np.max(np.abs(q_next - q))) < tol
         q = q_next
-        if delta < tol:
-            converged = True
-            break
 
-    z = np.maximum(kernel.apply(q), _TINY)
-    objective = -float(np.dot(p[p_idx], np.log(z[p_idx])))
-    if objective > trace[-1] + 1e-12:
-        violations += 1
-        max_rise = max(max_rise, objective - trace[-1])
-    trace.append(objective)
     distortion = float(np.dot(p[p_idx], kernel_d.apply(q)[p_idx] / z[p_idx]))
     rate = max(problem.s * distortion + objective, 0.0)
     return BAResult(
@@ -181,7 +159,6 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
         rate=rate,
         iterations=iterations,
         converged=converged,
-        objective_trace=np.asarray(trace),
         objective_violations=violations,
         max_objective_rise=max_rise,
     )
@@ -194,7 +171,6 @@ def ba_curve(
     n: int = 2001,
     tol: float = 1e-10,
     max_iter: int = 200_000,
-    span_sigmas: float | None = None,
 ) -> list[RDPoint]:
     """One solve per slope; points sorted by distortion, failures flagged per point."""
     s_list = list(s_list)
@@ -203,7 +179,7 @@ def ba_curve(
     points = []
     for s in s_list:
         try:
-            problem = build_problem(source, loss, s, n=n, span_sigmas=span_sigmas)
+            problem = build_problem(source, loss, s, n=n)
             result = ba_iterate(problem, tol=tol, max_iter=max_iter)
         except (ValueError, ArithmeticError) as exc:
             points.append(RDPoint(d=math.nan, r=math.nan, s=float(s), flag=f"ba_error:{exc}"))

@@ -13,8 +13,7 @@ Implemented bounds, all in nats:
   for Laplacian sources
 
 Rates returned as :class:`RDPoint` are clamped at zero (the true curve is zero
-past d_max) with the raw value kept alongside and a ``clamped`` flag set, never
-silently.
+past d_max) with the raw value kept alongside, never silently.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .tilted import (
 
 __all__ = [
     "RDPoint",
-    "LaplacianAuxiliaries",
     "shannon_lower_bound",
     "slb_zero",
     "slb_at_matched_slope",
@@ -50,21 +48,23 @@ __all__ = [
 class RDPoint:
     """One (distortion, rate) point of a bound curve.
 
-    ``r`` is clamped at zero; ``raw_rate`` keeps the unclamped value and
-    ``clamped`` records that clamping happened.
+    ``r`` is clamped at zero; ``raw_rate`` keeps the unclamped value.
     """
 
     d: float
     r: float
     s: float | None = None
     raw_rate: float | None = None
-    clamped: bool = False
     flag: str = ""
+
+    @property
+    def clamped(self) -> bool:
+        """Whether ``r`` was clamped up from a negative ``raw_rate``."""
+        return self.raw_rate is not None and self.raw_rate < 0.0
 
 
 def _rate_point(d: float, raw: float, s: float) -> RDPoint:
-    clamped = raw < 0.0
-    return RDPoint(d=d, r=max(raw, 0.0), s=s, raw_rate=raw, clamped=clamped)
+    return RDPoint(d=d, r=max(raw, 0.0), s=s, raw_rate=raw)
 
 
 def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> float:
@@ -85,8 +85,8 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     return source_entropy - math.log(2.0 * eps) - math.log1p(dt + root) - 2.0 * dt / (dt + root)
 
 
-def slb_zero(source: Source, loss: EpsilonLoss, tol: float = 1e-8) -> float:
-    """Distortion where the lower bound crosses zero, by bisection to tol.
+def slb_zero(source: Source, loss: EpsilonLoss) -> float:
+    """Distortion where the lower bound crosses zero, by bisection to 1e-8.
 
     Raises if the bound is nonpositive on all of (0, d_max] ("SLB vacuous").
     For eps > 0 the root lies strictly below d_max(loss).
@@ -107,7 +107,7 @@ def slb_zero(source: Source, loss: EpsilonLoss, tol: float = 1e-8) -> float:
         lo *= 0.5
     else:
         raise ValueError("SLB vacuous: nonpositive for every distortion")
-    while hi - lo > tol:
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if shannon_lower_bound(mid, h_p, loss) > 0.0:
             lo = mid
@@ -158,16 +158,9 @@ def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoi
     return _rate_point(distortion_of_slope(s, loss), raw, s)
 
 
-@dataclass(frozen=True)
-class LaplacianAuxiliaries:
-    """Scalar ingredients of the Laplacian closed-form upper bound."""
-
-    c_s: float
-    b_int: float
-    e_int: float
-
-
-def laplacian_upper_bound_terms(s: float, alpha: float, loss: EpsilonLoss) -> LaplacianAuxiliaries:
+def laplacian_upper_bound_terms(
+    s: float, alpha: float, loss: EpsilonLoss
+) -> tuple[float, float, float]:
     """Floor constant and the two outer-tail integrals of the convolution density.
 
     c_s lower-bounds the band part of 2 C(s) (g * p); b_int and e_int are the
@@ -185,7 +178,7 @@ def laplacian_upper_bound_terms(s: float, alpha: float, loss: EpsilonLoss) -> La
     b_int = c1 * e2 / alpha + quad / (alpha * s * (s - alpha))
     m1 = (1.0 + alpha * eps) / alpha**2
     e_int = c1 * m1 * e2 + (2.0 * alpha - m1 * s * quad) / ((alpha - s) * s * s)
-    return LaplacianAuxiliaries(c_s=c_s, b_int=b_int, e_int=e_int)
+    return c_s, b_int, e_int
 
 
 def analytic_upper_bound_laplacian(s: float, alpha: float, loss: EpsilonLoss) -> RDPoint:
@@ -196,13 +189,13 @@ def analytic_upper_bound_laplacian(s: float, alpha: float, loss: EpsilonLoss) ->
     continuous through it.
     """
     s = _check_slope(s)
-    aux = laplacian_upper_bound_terms(s, alpha, loss)
+    c_s, b_int, e_int = laplacian_upper_bound_terms(s, alpha, loss)
     c = normalizer(s, loss)
     eps = loss.epsilon
     h_r_upper = (
-        -math.log(aux.c_s / (2.0 * c))
-        - (alpha * eps / c) * aux.b_int
-        + (alpha / c) * aux.e_int
+        -math.log(c_s / (2.0 * c))
+        - (alpha * eps / c) * b_int
+        + (alpha / c) * e_int
     )
     raw = h_r_upper - tilted_entropy(s, loss)
     return _rate_point(distortion_of_slope(s, loss), raw, s)

@@ -372,35 +372,41 @@ def _verify_checks(source, loss, args) -> list[dict]:
     checks.append({"name": "cf_consistency", "max_abs_diff": worst, "tol": 1e-7,
                    "passed": worst <= 1e-7})
 
-    # BA sandwich between the lower bound and the convolution upper bound
-    worst_lo = -math.inf
-    worst_hi = -math.inf
-    for s in (-2.0, -5.0, -20.0):
-        problem = ba_mod.build_problem(source, loss, s, n=args.ba_n)
-        result = ba_mod.ba_iterate(problem, tol=args.ba_tol, max_iter=args.ba_max_iter)
-        d_s = distortion_of_slope(s, loss)
-        slb = bounds_mod.shannon_lower_bound(d_s, h_p, loss)
-        ru = bounds_mod.convolution_upper_bound(source, s, loss)
-        worst_lo = max(worst_lo, slb - result.rate)
-        worst_hi = max(worst_hi, result.rate - ru.r)
-    checks.append({"name": "ba_sandwich", "max_excess": max(worst_lo, worst_hi), "tol": 2e-2,
-                   "passed": worst_lo <= 2e-2 and worst_hi <= 2e-2})
+    # BA sandwich between the lower bound and the convolution upper bound; a
+    # failed solve comes back NaN, which max() would skip, so it is checked
+    # for explicitly and its flag fails the check
+    def ba_points(s_list, n):
+        points = ba_mod.ba_curve(source, loss, s_list, n=n, tol=args.ba_tol,
+                                 max_iter=args.ba_max_iter)
+        return {pt.s: pt for pt in points}
 
-    # grid-convergence of the BA point at a reference slope
-    n_half = args.ba_n // 2
-    if n_half % 2 == 0:
-        n_half += 1
-    n_half = max(n_half, 3)
-    coarse = ba_mod.ba_iterate(
-        ba_mod.build_problem(source, loss, -5.0, n=n_half), tol=args.ba_tol,
-        max_iter=args.ba_max_iter)
-    fine = ba_mod.ba_iterate(
-        ba_mod.build_problem(source, loss, -5.0, n=args.ba_n), tol=args.ba_tol,
-        max_iter=args.ba_max_iter)
-    drift = max(abs(coarse.distortion - fine.distortion), abs(coarse.rate - fine.rate))
-    checks.append({"name": "ba_grid_convergence", "max_change": drift, "tol": 5e-3,
-                   "passed": drift <= 5e-3})
+    sandwich = ba_points((-2.0, -5.0, -20.0), args.ba_n)
+    errors = [pt.flag for pt in sandwich.values() if not math.isfinite(pt.r)]
+    excess = []
+    for s, pt in sandwich.items():
+        if math.isfinite(pt.r):
+            slb = bounds_mod.shannon_lower_bound(distortion_of_slope(s, loss), h_p, loss)
+            ru = bounds_mod.convolution_upper_bound(source, s, loss)
+            excess += [slb - pt.r, pt.r - ru.r]
+    checks.append(_limit_check("ba_sandwich", "max_excess", max(excess, default=None), 2e-2,
+                               errors))
+
+    # grid-convergence of the BA point at a reference slope: the odd n nearest
+    # half of --ba-n against the sandwich's own s = -5 solve
+    n_coarse = max((args.ba_n // 2) | 1, 3)
+    coarse, fine = ba_points((-5.0,), n_coarse)[-5.0], sandwich[-5.0]
+    errors = [pt.flag for pt in (coarse, fine) if not math.isfinite(pt.r)]
+    drift = None if errors else max(abs(coarse.d - fine.d), abs(coarse.r - fine.r))
+    if n_coarse == args.ba_n:
+        errors.append(f"coarse grid n={n_coarse} is the --ba-n grid itself")
+    checks.append(_limit_check("ba_grid_convergence", "max_change", drift, 5e-3, errors))
     return checks
+
+
+def _limit_check(name, key, value, tol, errors) -> dict:
+    """A verify check that value <= tol; any error fails it and is listed."""
+    check = {"name": name, key: value, "tol": tol, "passed": not errors and value <= tol}
+    return {**check, "errors": errors} if errors else check
 
 
 def cmd_verify(args) -> int:

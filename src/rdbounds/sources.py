@@ -22,8 +22,6 @@ __all__ = [
     "Laplacian",
     "Gaussian",
     "Tabulated",
-    "SourceSummary",
-    "summarize",
     "erfc_tail",
     "load_tabulated_csv",
 ]
@@ -219,30 +217,14 @@ class Tabulated(Source):
         return float(self.masses[np.abs(self.grid) > t].sum())
 
     def tail_span(self, mass: float) -> float:
-        """Smallest grid |x| with tail_mass(|x|) <= mass."""
+        """Outer edge |x| + h/2 of the smallest grid |x| with tail_mass(|x|) <= mass.
+
+        A grid cut at this span holds every kept cell whole.
+        """
         spans = np.unique(np.abs(self.grid))
         # over the sorted spans the test is False, then True from some span on
         first = bisect.bisect_left(spans, True, key=lambda t: self.tail_mass(t) <= mass)
-        return float(spans[min(first, spans.size - 1)])
-
-
-@dataclass(frozen=True)
-class SourceSummary:
-    """The per-source numbers every bound sweep needs."""
-
-    h_p: float
-    v_p: float
-    d_max_eps: float
-    d_max_zero: float
-
-
-def summarize(source: Source, loss: EpsilonLoss) -> SourceSummary:
-    return SourceSummary(
-        h_p=source.differential_entropy(),
-        v_p=source.variance(),
-        d_max_eps=source.d_max(loss),
-        d_max_zero=source.d_max(EpsilonLoss(0.0)),
-    )
+        return float(spans[min(first, spans.size - 1)]) + 0.5 * self.spacing
 
 
 def load_tabulated_csv(path) -> Tabulated:

@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "EpsilonLoss",
-    "SlopeState",
-    "slope_state",
     "normalizer",
     "tilted_pdf",
     "tilted_cdf",
@@ -126,26 +124,3 @@ def tilted_variance(s: float, loss: EpsilonLoss) -> float:
     c = normalizer(s, loss)
     return (2.0 / c) * (eps**3 / 3.0 + (eps**2 + 2.0 * eps / b + 2.0 / (b * b)) / b)
 
-
-@dataclass(frozen=True)
-class SlopeState:
-    """A slope parameter together with the tilted-density quantities it fixes."""
-
-    s: float
-    epsilon: float
-    normalizer: float
-    distortion: float
-    entropy: float
-    variance: float
-
-
-def slope_state(s: float, loss: EpsilonLoss) -> SlopeState:
-    s = _check_slope(s)
-    return SlopeState(
-        s=s,
-        epsilon=loss.epsilon,
-        normalizer=normalizer(s, loss),
-        distortion=distortion_of_slope(s, loss),
-        entropy=tilted_entropy(s, loss),
-        variance=tilted_variance(s, loss),
-    )

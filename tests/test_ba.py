@@ -8,6 +8,7 @@ from rdbounds import (
     EpsilonLoss,
     Gaussian,
     Laplacian,
+    Tabulated,
     auto_span,
     ba_curve,
     ba_iterate,
@@ -23,7 +24,7 @@ GAU = Gaussian(1.0)
 
 class TestBuildProblem:
     def test_construction_contract(self):
-        prob = build_problem(GAU, EpsilonLoss(0.1), -2.0, n=2001, span_sigmas=8.0)
+        prob = build_problem(GAU, EpsilonLoss(0.1), -2.0, n=2001)
         assert prob.p_mass.sum() == pytest.approx(1.0, abs=1e-12)
         assert prob.x_grid.size == 2001
         assert prob.x_grid[1000] == 0.0
@@ -34,10 +35,6 @@ class TestBuildProblem:
         assert half >= 16.3
         assert math.exp(-ALPHA * half) < 1e-10
 
-    def test_rejects_insufficient_span(self):
-        with pytest.raises(ValueError, match="insufficient span"):
-            build_problem(GAU, EpsilonLoss(0.1), -2.0, n=101, span_sigmas=3.0)
-
     def test_rejects_even_or_tiny_n(self):
         with pytest.raises(ValueError):
             build_problem(GAU, EpsilonLoss(0.1), -2.0, n=100)
@@ -45,9 +42,20 @@ class TestBuildProblem:
             build_problem(GAU, EpsilonLoss(0.1), -2.0, n=1)
 
     def test_minimal_toy_problem(self):
-        prob = build_problem(GAU, EpsilonLoss(0.0), -1.0, n=3, span_sigmas=None)
+        prob = build_problem(GAU, EpsilonLoss(0.0), -1.0, n=3)
         res = ba_iterate(prob, tol=1e-12, max_iter=5000)
         assert res.q_mass.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_tabulated_outer_cells_are_whole(self):
+        # a uniform 11-cell source on [-1, 1]: cells of width 0.2, 1/11 each;
+        # a grid that stops at the outermost grid points halves the end cells
+        tab = Tabulated(np.linspace(-1.0, 1.0, 11), np.full(11, 1.0 / 11.0))
+        prob = build_problem(tab, EpsilonLoss(0.1), -5.0, n=2001)
+        for outer in (prob.x_grid > 0.9, prob.x_grid < -0.9):
+            assert prob.p_mass[outer].sum() == pytest.approx(1.0 / 11.0, rel=1e-2)
+        shifted = Tabulated(tab.grid + 0.37, tab.masses)
+        prob = build_problem(shifted, EpsilonLoss(0.1), -5.0, n=2001)
+        assert abs(float(np.dot(prob.p_mass, prob.x_grid)) - shifted.mean()) < 1e-3
 
 
 class TestKernelApplication:
@@ -115,8 +123,6 @@ class TestIterationDiagnostics:
             res = ba_iterate(prob, tol=1e-11, max_iter=8000)
             assert res.objective_violations == 0
             assert res.max_objective_rise <= 1e-12
-            diffs = np.diff(res.objective_trace)
-            assert np.all(diffs <= 1e-12)
             assert res.q_mass.min() >= 0.0
             assert res.q_mass.sum() == pytest.approx(1.0, abs=1e-12)
 

@@ -300,9 +300,9 @@ class TestAnalyticUpperBound:
     def test_band_floor_constant_limit(self):
         # c_s tends to 1 - exp(-2 alpha eps) as |s| grows
         loss = EpsilonLoss(0.1)
-        terms = laplacian_upper_bound_terms(-1e12, ALPHA, loss)
-        assert terms.c_s == pytest.approx(1.0 - math.exp(-2.0 * ALPHA * 0.1), abs=1e-6)
-        assert terms.c_s > 0.0
+        c_s, _, _ = laplacian_upper_bound_terms(-1e12, ALPHA, loss)
+        assert c_s == pytest.approx(1.0 - math.exp(-2.0 * ALPHA * 0.1), abs=1e-6)
+        assert c_s > 0.0
 
     @pytest.mark.parametrize("eps", [0.01, 0.02, 0.05])
     def test_small_distortion_gap(self, eps):

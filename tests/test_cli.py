@@ -302,3 +302,30 @@ class TestVerify:
         payload = json.loads(out)
         by_name = {c["name"]: c for c in payload["checks"]}
         assert not by_name["ba_grid_convergence"]["passed"]
+
+    def test_failed_solves_fail_the_sandwich(self, capsys):
+        # n = 4 is not a valid BA grid: every sandwich solve comes back as a
+        # flagged NaN point, which must fail the check rather than vanish in max()
+        code, out, _ = run_cli(
+            capsys, "verify", "--source", "laplacian", "--epsilon", "0.1", "--ba-n", "4",
+            "--format", "json",
+        )
+        assert code == 1
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        sandwich = by_name["ba_sandwich"]
+        assert not sandwich["passed"]
+        assert sandwich["max_excess"] is None
+        assert len(sandwich["errors"]) == 3
+        assert all(e.startswith("ba_error:") for e in sandwich["errors"])
+        assert not by_name["ba_grid_convergence"]["passed"]
+
+    def test_grid_convergence_needs_a_coarser_grid(self, capsys):
+        # at n = 3 the coarse grid rounds up to n = 3 itself: nothing to compare
+        code, out, _ = run_cli(
+            capsys, "verify", "--source", "laplacian", "--epsilon", "0.1", "--ba-n", "3",
+            "--format", "json",
+        )
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["ba_grid_convergence"]
+        assert not check["passed"]
+        assert any("--ba-n" in e for e in check["errors"])

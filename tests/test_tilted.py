@@ -8,7 +8,6 @@ from rdbounds import (
     distortion_of_slope,
     normalizer,
     slope_of_distortion,
-    slope_state,
     tilted_cdf,
     tilted_entropy,
     tilted_pdf,
@@ -155,14 +154,3 @@ class TestCdf:
         assert tilted_cdf(-1e6, -1.0, loss) == pytest.approx(0.0, abs=1e-200)
         assert tilted_cdf(1e6, -1.0, loss) == pytest.approx(1.0, rel=1e-15)
 
-
-def test_slope_state_consistency():
-    loss = EpsilonLoss(0.1)
-    st = slope_state(-3.0, loss)
-    assert st.normalizer == normalizer(-3.0, loss)
-    assert st.distortion == distortion_of_slope(-3.0, loss)
-    assert st.entropy == tilted_entropy(-3.0, loss)
-    assert st.variance == tilted_variance(-3.0, loss)
-    assert st.variance > 0 and st.distortion > 0 and st.normalizer > 0
-    with pytest.raises(ValueError):
-        slope_state(1.0, loss)
