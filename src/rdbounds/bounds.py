@@ -3,7 +3,8 @@
 Implemented bounds, all in nats:
 
 * ``shannon_lower_bound``      -- entropy-difference lower bound, closed form
-* ``slb_zero``                 -- distortion where that lower bound crosses zero
+* ``slb_zero``                 -- distortion where that lower bound crosses
+  zero, closed form through the Lambert W function
 * ``trivial_upper_bound_laplacian`` -- exact absolute-error rate -log(alpha D),
   an upper bound for every epsilon > 0
 * ``convolution_upper_bound``  -- h(g * p) - h(g) via the additive test channel,
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy import special
 
 from .convolution import conv_entropy
 from .sources import Source
@@ -79,41 +82,26 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     eps = loss.epsilon
     if eps == 0.0:
         return source_entropy - math.log(2.0 * d) - 1.0
-    dt = d / (2.0 * eps)
-    root = math.sqrt(dt * (dt + 2.0))
-    # dt - root written in quotient form: no cancellation for dt >> 1
-    return source_entropy - math.log(2.0 * eps) - math.log1p(dt + root) - 2.0 * dt / (dt + root)
+    # r = sqrt(d (d + 4 eps)) as a product of roots, which cannot overflow
+    # however small eps is; d - r is taken in quotient form
+    r = math.sqrt(d) * math.sqrt(d + 4.0 * eps)
+    return source_entropy - math.log(2.0 * eps + d + r) - 2.0 * d / (d + r)
 
 
 def slb_zero(source: Source, loss: EpsilonLoss) -> float:
-    """Distortion where the lower bound crosses zero, by bisection to 1e-8.
+    """Distortion where the lower bound crosses zero, in closed form.
 
-    Raises if the bound is nonpositive on all of (0, d_max] ("SLB vacuous").
-    For eps > 0 the root lies strictly below d_max(loss).
+    Setting the bound to zero gives t e^t = 2 eps e^{1 - h(p)}, so with
+    t = W0(2 eps e^{1 - h(p)}) the root is (1 - t)^2 e^{h(p) - 1 + t} / 2;
+    t = 0 at eps = 0.  Raises if the bound is nonpositive for every distortion
+    ("SLB vacuous"), which happens exactly when h(p) <= log(2 eps).
     """
     h_p = source.differential_entropy()
-    if loss.epsilon > 0.0 and h_p - math.log(2.0 * loss.epsilon) <= 0.0:
+    eps = loss.epsilon
+    if eps > 0.0 and h_p - math.log(2.0 * eps) <= 0.0:
         raise ValueError("SLB vacuous: nonpositive for every distortion")
-    hi = source.d_max(loss)
-    f_hi = shannon_lower_bound(hi, h_p, loss)
-    if f_hi >= 0.0:
-        if f_hi < 1e-12:
-            return hi
-        raise ValueError("SLB positive at d_max; inconsistent source")
-    lo = 0.5 * hi
-    for _ in range(200):
-        if shannon_lower_bound(lo, h_p, loss) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ValueError("SLB vacuous: nonpositive for every distortion")
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if shannon_lower_bound(mid, h_p, loss) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = float(special.lambertw(2.0 * eps * math.exp(1.0 - h_p)).real)
+    return 0.5 * (1.0 - t) ** 2 * math.exp(h_p - 1.0 + t)
 
 
 def slb_at_matched_slope(alpha: float, loss: EpsilonLoss) -> float:

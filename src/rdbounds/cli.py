@@ -294,11 +294,11 @@ def cmd_dmax(args) -> int:
     try:
         root = bounds_mod.slb_zero(source, loss)
         report["slb_zero"] = root
-        strict = loss.epsilon > 0.0
-        if strict:
+        if loss.epsilon > 0.0:
             ordered = root < d_eps < d_zero
         else:
-            ordered = root <= d_eps + 2e-8 and d_eps <= d_zero + 1e-12
+            # equal for a Laplacian: allow round-off relative to the scale
+            ordered = root <= d_eps * (1.0 + 1e-12) and d_eps <= d_zero + 1e-12
         report["ordered"] = bool(ordered)
         if not ordered:
             code = 1

@@ -125,7 +125,7 @@ def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
     order.
     """
     h = source.spacing
-    cell_edges = np.concatenate([source.grid - 0.5 * h, [source.grid[-1] + 0.5 * h]])
+    cell_edges = source.edges
     dens = source.masses / h
     cells, eps, b = dens.size, loss.epsilon, abs(s)
     decay = math.exp(-b * h)
@@ -191,28 +191,26 @@ def _neg_r_log_r(r):
     return -np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
 
 
-def _tabulated_entropy_edges(source: Tabulated, s: float, loss: EpsilonLoss, refine: int):
+def _tabulated_entropy_edges(source: Tabulated, s: float, loss: EpsilonLoss):
     """Panel edges on the real line with a break at every cell edge +- eps."""
-    h = source.spacing
-    cell_edges = np.concatenate([source.grid - 0.5 * h, [source.grid[-1] + 0.5 * h]])
+    cell_edges = source.edges
     eps = loss.epsilon
     reach = eps + _kernel_reach(s)
     breaks = np.concatenate([[cell_edges[0] - reach], cell_edges - eps, cell_edges + eps,
                              [cell_edges[-1] + reach]])
-    return panel_edges(np.unique(breaks), 2.0 / (abs(s) * refine))
+    return panel_edges(np.unique(breaks), 2.0 / abs(s))
 
 
-def conv_entropy(source: Source, s: float, loss: EpsilonLoss, refine: int = 1) -> float:
+def conv_entropy(source: Source, s: float, loss: EpsilonLoss) -> float:
     """Differential entropy of (tilted kernel * source), by panel quadrature.
 
-    refine divides the panel length (used for stability checks).  Source
-    types other than Laplacian, Gaussian and Tabulated raise TypeError.
+    Source types other than Laplacian, Gaussian and Tabulated raise TypeError.
     """
     s = _check_slope(s)
     if isinstance(source, Tabulated):
         # r is linear plus exponentials of rate |s| on each panel, and no panel
         # is longer than 2/|s|, so 8 nodes reach round-off
-        edges, n, factor = _tabulated_entropy_edges(source, s, loss, refine), 8, 1.0
+        edges, n, factor = _tabulated_entropy_edges(source, s, loss), 8, 1.0
     else:
         if isinstance(source, Laplacian):
             upper = _laplacian_upper(s, source.alpha, loss)
@@ -223,6 +221,6 @@ def conv_entropy(source: Source, s: float, loss: EpsilonLoss, refine: int = 1) -
         else:
             raise _unsupported(source)
         # r is even, so integrate over the half line and double
-        edges, n, factor = _entropy_edges(s, loss, upper, smooth / refine), 64, 2.0
+        edges, n, factor = _entropy_edges(s, loss, upper, smooth), 64, 2.0
     yn, wq = panel_nodes(edges, n)
     return factor * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))

@@ -167,7 +167,6 @@ class Tabulated(Source):
 
     The grid must be uniform and strictly increasing; masses must be
     nonnegative and sum to 1 within 1e-9 (they are renormalized exactly).
-    Moments and d_max use the point-mass convention on the grid nodes.
     """
 
     grid: np.ndarray
@@ -182,6 +181,12 @@ class Tabulated(Source):
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
+    @property
+    def edges(self) -> np.ndarray:
+        """The grid.size + 1 cell edges, grid -+ h/2."""
+        h = self.spacing
+        return np.concatenate([self.grid - 0.5 * h, [self.grid[-1] + 0.5 * h]])
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         h = self.spacing
@@ -195,23 +200,27 @@ class Tabulated(Source):
         return float(-np.sum(m * np.log(m / self.spacing)))
 
     def variance(self) -> float:
+        # each cell spreads its mass uniformly, which adds h^2 / 12
         mu = self.mean()
-        return float(np.dot(self.masses, self.grid**2) - mu * mu)
+        return float(np.dot(self.masses, self.grid**2) - mu * mu + self.spacing**2 / 12.0)
 
     def mean(self) -> float:
         return float(np.dot(self.masses, self.grid))
 
     def d_max(self, loss: EpsilonLoss) -> float:
-        # E[loss(X - y)] is convex and piecewise linear in y with slope
-        # P(X < y - eps) - P(X > y + eps).  That slope starts at -1 and each
-        # breakpoint x_i -/+ eps raises it by m_i, so the minimiser is the
-        # first breakpoint, in sorted order, where the running slope reaches 0.
+        # E[loss(X - y)] is convex in y with derivative F(y - eps) + F(y + eps) - 1,
+        # linear between the breaks (cell edge) -+ eps; its zero is interpolated
         eps = loss.epsilon
-        breaks = np.concatenate([self.grid - eps, self.grid + eps])
-        order = np.argsort(breaks, kind="stable")
-        slope = np.cumsum(np.concatenate([self.masses, self.masses])[order]) - 1.0
-        y_star = breaks[order[np.argmax(slope >= 0.0)]]
-        return float(np.dot(self.masses, loss(self.grid - y_star)))
+        edges = self.edges
+        cdf = np.concatenate([[0.0], np.cumsum(self.masses)])
+        ys = np.sort(np.concatenate([edges - eps, edges + eps]))
+        both = np.interp(ys - eps, edges, cdf) + np.interp(ys + eps, edges, cdf)
+        k = int(np.searchsorted(both, 1.0))
+        y_star = ys[k] - (both[k] - 1.0) * (ys[k] - ys[k - 1]) / (both[k] - both[k - 1])
+        # sign(t) max(|t| - eps, 0)^2 / 2 is the antiderivative of the loss
+        t = edges - y_star
+        antider = np.sign(t) * 0.5 * np.maximum(np.abs(t) - eps, 0.0) ** 2
+        return float(np.dot(self.masses, np.diff(antider)) / self.spacing)
 
     def tail_mass(self, t: float) -> float:
         return float(self.masses[np.abs(self.grid) > t].sum())

@@ -217,3 +217,20 @@ def d_max_quad(source_pdf, eps, y=0.0, half=80.0):
     pts = sorted(p for p in (y - eps, y, y + eps, 0.0) if -half < p < half)
     val, _ = integrate.quad(f, -half, half, points=pts, limit=400, epsabs=1e-12, epsrel=1e-12)
     return val
+
+
+def d_max_cells_quad(grid, masses, eps, y):
+    """E[rho(X - y)] for a piecewise-constant density, one QUADPACK integral per cell."""
+    grid = np.asarray(grid, dtype=float)
+    h = grid[1] - grid[0]
+
+    def loss(x):
+        return max(abs(x - y) - eps, 0.0)
+
+    total = 0.0
+    for x, m in zip(grid, masses):
+        lo, hi = x - 0.5 * h, x + 0.5 * h
+        pts = [p for p in (y - eps, y + eps) if lo < p < hi]
+        val, _ = integrate.quad(loss, lo, hi, points=pts or None, epsabs=1e-14, epsrel=1e-13)
+        total += m / h * val
+    return total

@@ -10,7 +10,6 @@ from rdbounds import (
     Laplacian,
     Tabulated,
     analytic_upper_bound_laplacian,
-    conv_entropy,
     conv_pdf,
     convolution_upper_bound,
     gaussian_entropy_bound,
@@ -65,6 +64,13 @@ class TestShannonLowerBound:
         vals = [shannon_lower_bound(d, H_LAP, loss) for d in ds]
         assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
 
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200, 1e-300])
+    def test_tiny_band_is_the_eps_zero_limit(self, eps):
+        # d / eps beyond ~1e154 overflows a root of (d / 2 eps)^2
+        for d in (1e-3, 0.5, 10.0):
+            assert shannon_lower_bound(d, H_LAP, EpsilonLoss(eps)) == pytest.approx(
+                shannon_lower_bound(d, H_LAP, EpsilonLoss(0.0)), abs=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             shannon_lower_bound(0.0, H_LAP, EpsilonLoss(0.1))
@@ -90,6 +96,25 @@ class TestSlbZero:
     def test_vacuous(self):
         with pytest.raises(ValueError, match="vacuous"):
             slb_zero(LAP, EpsilonLoss(2.0))
+
+    @pytest.mark.parametrize("src", [LAP, GAU, TAB], ids=["laplacian", "gaussian", "tabulated"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-9, 0.01, 0.1, 1.0])
+    def test_is_the_zero_of_the_bound(self, src, eps):
+        h_p = src.differential_entropy()
+        loss = EpsilonLoss(eps)
+        if eps > 0.0 and h_p <= math.log(2.0 * eps):
+            with pytest.raises(ValueError, match="vacuous"):
+                slb_zero(src, loss)
+        else:
+            assert abs(shannon_lower_bound(slb_zero(src, loss), h_p, loss)) <= 1e-13
+
+    def test_vacuous_exactly_past_half_the_entropy_power(self):
+        # the bound is positive somewhere iff h(p) > log(2 eps)
+        edge = 0.5 * math.exp(H_LAP)
+        with pytest.raises(ValueError, match="vacuous"):
+            slb_zero(LAP, EpsilonLoss(edge * (1.0 + 1e-12)))
+        root = slb_zero(LAP, EpsilonLoss(edge * (1.0 - 1e-6)))
+        assert 0.0 < root < 1e-9
 
 
 class TestTrivialBound:
@@ -202,13 +227,6 @@ class TestNumericConvolution:
             got = conv_pdf(TAB, s, EpsilonLoss(eps), ys[shuffled])
             np.testing.assert_array_equal(got, want[shuffled])
 
-    def test_entropy_stable_under_refinement(self):
-        loss = EpsilonLoss(0.1)
-        for src in (GAU, TAB):
-            h1 = conv_entropy(src, -20.0, loss)
-            h2 = conv_entropy(src, -20.0, loss, refine=2)
-            assert abs(h1 - h2) < 1e-6
-
 
 class TestConvolutionUpperBound:
     @pytest.mark.parametrize("src,h_p", [(LAP, H_LAP), (GAU, H_GAU)])
@@ -259,6 +277,23 @@ class TestGaussianEntropyBound:
         loss = EpsilonLoss(0.1)
         for src in (LAP, GAU):
             for s in (-0.5, -2.0, -10.0, -100.0):
+                ru = convolution_upper_bound(src, s, loss)
+                rge = gaussian_entropy_bound(src, s, loss)
+                assert ru.raw_rate <= rge.raw_rate + 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_dominates_convolution_bound_tabulated(self, eps):
+        # the Gaussian bound needs the variance of the piecewise-constant
+        # density that R_U convolves, not that of point masses on the grid
+        x = np.linspace(-5.5, 5.5, 401)
+        sources = (
+            Tabulated(np.array([-0.5, 0.5]), np.array([0.5, 0.5])),
+            Tabulated(np.array([-0.5, 0.0, 0.5]), np.array([0.0, 1.0, 0.0])),
+            Tabulated(x, np.exp(-x * x) / np.exp(-x * x).sum()),
+        )
+        loss = EpsilonLoss(eps)
+        for src in sources:
+            for s in -np.geomspace(0.5, 200.0, 25):
                 ru = convolution_upper_bound(src, s, loss)
                 rge = gaussian_entropy_bound(src, s, loss)
                 assert ru.raw_rate <= rge.raw_rate + 1e-9

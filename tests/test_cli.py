@@ -253,6 +253,27 @@ class TestDmax:
         assert report["slb_zero"] == pytest.approx(inv_alpha, abs=1e-6)
         assert report["d_max_eps"] == pytest.approx(inv_alpha, rel=1e-12)
 
+    def test_zero_band_ordered_at_large_scale(self, capsys):
+        # slb_zero and d_max_eps are both 1/alpha; at 3.3e6 one ulp is 4.7e-10
+        code, out, _ = run_cli(
+            capsys, "dmax", "--source", "laplacian", "--alpha", "3e-7",
+            "--epsilon", "0", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["ordered"]
+
+    @pytest.mark.parametrize("eps", ["0", "0.05", "0.1"])
+    def test_single_cell_tabulated_chain(self, capsys, tmp_path, eps):
+        # all mass on one cell of width 0.5: d_max is that of the uniform density
+        path = tmp_path / "cell.csv"
+        path.write_text("x,mass\n-0.5,0\n0,1\n0.5,0\n")
+        code, out, _ = run_cli(capsys, "dmax", "--source", f"csv:{path}", "--epsilon", eps,
+                               "--format", "json")
+        report = json.loads(out)
+        assert code == 0, report
+        assert report["ordered"]
+        assert report["d_max_zero"] == pytest.approx(0.125, rel=1e-12)
+
     def test_vacuous_band_exits_nonzero(self, capsys):
         code, out, _ = run_cli(
             capsys, "dmax", "--source", "laplacian", "--alpha", str(math.sqrt(2)),
@@ -291,6 +312,16 @@ class TestVerify:
             "slb_two_route", "dominance_ru_rge", "cf_consistency",
             "ba_sandwich", "ba_grid_convergence",
         }
+
+    def test_passes_on_two_cell_tabulated(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("x,mass\n-0.5,0.5\n0.5,0.5\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--source", f"csv:{path}", "--epsilon", "0.05",
+            "--ba-n", "201", "--ba-max-iter", "500", "--format", "json",
+        )
+        payload = json.loads(out)
+        assert code == 0, payload
 
     def test_tiny_grid_fails_convergence_check(self, capsys):
         code, out, _ = run_cli(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 from rdbounds import (
     EpsilonLoss,
@@ -59,6 +59,17 @@ class TestEntropy:
         assert tab.differential_entropy() == pytest.approx(-math.log(0.5), rel=1e-12)
 
 
+class TestVariance:
+    def test_tabulated_is_the_density_variance(self):
+        # two unit cells of mass 1/2 make the uniform density on [-1, 1]
+        tab = Tabulated(grid=np.array([-0.5, 0.5]), masses=np.array([0.5, 0.5]))
+        assert tab.variance() == pytest.approx(1.0 / 3.0, rel=1e-15)
+        shifted = Tabulated(grid=np.array([0.0, 0.2, 0.4]), masses=np.array([0.5, 0.25, 0.25]))
+        want = integrate.quad(lambda x: (x - shifted.mean()) ** 2 * shifted.pdf(x),
+                              -0.1, 0.5, points=[0.1, 0.3])[0]
+        assert shifted.variance() == pytest.approx(want, rel=1e-12)
+
+
 class TestErfcTail:
     def test_anchors(self):
         assert erfc_tail(0.0) == 0.5
@@ -108,9 +119,19 @@ class TestDMax:
         tab = Tabulated(grid=x, masses=m / m.sum())
         loss = EpsilonLoss(0.1)
         got = tab.d_max(loss)
-        want = min(float(np.dot(tab.masses, loss(tab.grid - y)))
-                   for y in np.linspace(shift - 0.5, shift + 0.5, 20001))
+        # the minimum over y of the loss averaged over each cell of the density
+        want = optimize.minimize_scalar(
+            lambda y: oracles.d_max_cells_quad(tab.grid, tab.masses, 0.1, y),
+            bounds=(shift - 0.5, shift + 0.5), method="bounded",
+            options={"xatol": 1e-9},
+        ).fun
         assert got == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("eps,want", [(0.0, 0.125), (0.05, 0.08), (0.1, 0.045)])
+    def test_single_cell_is_the_uniform_density(self, eps, want):
+        # all mass on the middle cell: X is uniform on [-0.25, 0.25]
+        tab = Tabulated(grid=np.array([-0.5, 0.0, 0.5]), masses=np.array([0.0, 1.0, 0.0]))
+        assert tab.d_max(EpsilonLoss(eps)) == pytest.approx(want, rel=1e-12)
 
 
 class TestTabulatedConvergence:
