@@ -8,6 +8,12 @@ dmax     report the zero-crossing of the lower bound and both zero-rate
 ba       Blahut-Arimoto sweep only (same table schema)
 verify   cross-module consistency checks; exit 0 iff all pass
 
+``_sweep_point`` is the one place a command computes a bound cell: it returns
+a row of raw (unclamped) rates, at most one note per bound and the BA point.
+``bounds``/``ba`` sweep it over the grid (on ``--threads`` workers) and
+``verify`` reads its checks off such rows; ``_emit`` is the one place a cell
+is formatted.
+
 The CSV schema is fixed: ``s,D,R_slb,R_u,R_au,R_ge,R_trivial,R_ba,flags``.
 Rates are nats by default (--units bits divides by ln 2 on output).  Values
 clamped to zero keep their raw value inside the flags column, e.g.
@@ -30,11 +36,12 @@ import numpy as np
 from . import ba as ba_mod
 from . import bounds as bounds_mod
 from .sources import Gaussian, Laplacian, Source, load_tabulated_csv
-from .tilted import EpsilonLoss, distortion_of_slope, slope_of_distortion
+from .tilted import (EpsilonLoss, distortion_of_slope, slope_of_distortion, tilted_entropy,
+                     tilted_pdf)
 
 COLUMNS = ["s", "D", "R_slb", "R_u", "R_au", "R_ge", "R_trivial", "R_ba", "flags"]
-RATE_COLUMNS = {"R_slb", "R_u", "R_au", "R_ge", "R_trivial", "R_ba"}
 ALL_BOUNDS = ("slb", "ru", "rau", "rge", "trivial", "ba")
+RATE_COLUMNS = dict(zip(ALL_BOUNDS, COLUMNS[2:-1]))  # bound -> its column
 
 
 class ConfigError(Exception):
@@ -55,7 +62,7 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads for sweeps (default: machine parallelism)")
+                        help="worker threads of bounds/ba sweeps (default 0: machine parallelism)")
 
 
 def _add_grid(parser):
@@ -165,86 +172,63 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _sweep_point(source, loss, selected, s, d, args):
-    """Column values and flags for one grid point; failures flag, never abort."""
-    values: dict[str, float | None] = {c: None for c in RATE_COLUMNS}
-    flags: list[str] = []
-    h_p = source.differential_entropy()
-
-    def note_clamp(name, point):
-        if point.clamped:
-            flags.append(f"{name}_clamped:{point.raw_rate:.6g}")
-
+def _sweep_point(source, loss, selected, s, d, ba_n, args):
+    """One grid point: the raw rate of each column (None where not computed),
+    at most one note per bound and the BA point; failures note, never abort."""
+    row = {"s": s, "D": d, **dict.fromkeys(RATE_COLUMNS.values()), "notes": {}, "ba": None}
+    notes = row["notes"]
     if "slb" in selected:
-        raw = bounds_mod.shannon_lower_bound(d, h_p, loss)
-        values["R_slb"] = max(raw, 0.0)
-        if raw < 0.0:
-            flags.append(f"slb_clamped:{raw:.6g}")
+        row["R_slb"] = bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss)
     if "ru" in selected:
         try:
-            pt = bounds_mod.convolution_upper_bound(source, s, loss)
-            values["R_u"] = pt.r
-            note_clamp("ru", pt)
+            row["R_u"] = bounds_mod.convolution_upper_bound(source, s, loss).raw_rate
         except (ValueError, ArithmeticError) as exc:
-            flags.append(f"ru_error:{exc}")
+            notes["ru"] = f"ru_error:{exc}"
     if "rau" in selected:
-        if not isinstance(source, Laplacian):
-            flags.append("rau_unsupported")
-        else:
+        if isinstance(source, Laplacian):
             pt = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
-            values["R_au"] = pt.r
-            note_clamp("rau", pt)
+            row["R_au"] = pt.raw_rate
+        else:
+            notes["rau"] = "rau_unsupported"
     if "rge" in selected:
-        pt = bounds_mod.gaussian_entropy_bound(source, s, loss)
-        values["R_ge"] = pt.r
-        note_clamp("rge", pt)
+        row["R_ge"] = bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate
     if "trivial" in selected:
         if isinstance(source, Laplacian):
-            values["R_trivial"] = bounds_mod.trivial_upper_bound_laplacian(d, source.alpha)
+            row["R_trivial"] = bounds_mod.trivial_upper_bound_laplacian(d, source.alpha)
         else:
-            flags.append("trivial_unsupported")
+            notes["trivial"] = "trivial_unsupported"
     if "ba" in selected:
-        pt = ba_mod.ba_curve(source, loss, [s], n=args.ba_n, tol=args.ba_tol,
-                             max_iter=args.ba_max_iter)[0]
+        pt = row["ba"] = ba_mod.ba_curve(source, loss, [s], n=ba_n, tol=args.ba_tol,
+                                         max_iter=args.ba_max_iter)[0]
         if not math.isnan(pt.r):
-            values["R_ba"] = pt.r
+            row["R_ba"] = pt.r
         if pt.flag:
-            flags.append(pt.flag)
-    return {"s": s, "D": d, **values, "flags": ";".join(flags)}
-
-
-def _convert_units(rows, units):
-    if units != "bits":
-        return rows
-    ln2 = math.log(2.0)
-    out = []
-    for row in rows:
-        row = dict(row)
-        for col in RATE_COLUMNS:
-            if row.get(col) is not None:
-                row[col] = row[col] / ln2
-        out.append(row)
-    return out
+            notes["ba"] = pt.flag
+    return row
 
 
 def _emit(rows, args) -> str:
-    rows = _convert_units(rows, args.units)
-    if args.format == "json":
-        payload = {
-            "columns": COLUMNS,
-            "units": args.units,
-            "rows": [
-                {c: (row[c] if c in ("flags",) else row.get(c)) for c in COLUMNS}
-                for row in rows
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(COLUMNS)]
+    """Clamp at zero, convert units and flag every cell of the raw rows."""
+    scale = math.log(2.0) if args.units == "bits" else 1.0
+    table = []
     for row in rows:
-        cells = [_fmt(row["s"]), _fmt(row["D"])]
-        cells += [_fmt(row.get(c)) for c in COLUMNS[2:-1]]
-        cells.append(row["flags"])
-        lines.append(",".join(cells))
+        cells = {"s": row["s"], "D": row["D"]}
+        flags = []
+        for bound, col in RATE_COLUMNS.items():
+            raw = row[col]
+            cells[col] = None if raw is None else max(raw, 0.0) / scale
+            if bound in row["notes"]:
+                flags.append(row["notes"][bound])
+            elif raw is not None and raw < 0.0:
+                flags.append(f"{bound}_clamped:{raw:.6g}")
+        cells["flags"] = ";".join(flags)
+        table.append(cells)
+    if args.format == "json":
+        return json.dumps({"columns": COLUMNS, "units": args.units, "rows": table},
+                          indent=2) + "\n"
+    lines = [",".join(COLUMNS)]
+    lines += [",".join([_fmt(cells[c]) for c in COLUMNS[:-1]] + [cells["flags"]])
+              for cells in table]
     return "\n".join(lines) + "\n"
 
 
@@ -254,12 +238,6 @@ def _write(text, args):
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _n_workers(args) -> int:
-    if args.threads and args.threads > 0:
-        return args.threads
-    return os.cpu_count() or 1
 
 
 def cmd_bounds(args, selected=None) -> int:
@@ -273,8 +251,9 @@ def cmd_bounds(args, selected=None) -> int:
     if not selected:
         raise ConfigError("at least one bound must be selected")
     points = _grid_points(args, loss)
-    with ThreadPoolExecutor(max_workers=_n_workers(args)) as pool:
-        rows = list(pool.map(lambda sd: _sweep_point(source, loss, selected, *sd, args), points))
+    with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
+        rows = list(pool.map(lambda sd: _sweep_point(source, loss, selected, *sd, args.ba_n, args),
+                             points))
     rows.sort(key=lambda row: row["D"])
     _write(_emit(rows, args), args)
     return 0
@@ -323,42 +302,31 @@ def cmd_dmax(args) -> int:
 
 
 def _verify_checks(source, loss, args) -> list[dict]:
-    h_p = source.differential_entropy()
-    checks = []
-
-    # closed form of the lower bound against its slope-parametric route
-    from .tilted import tilted_entropy
-
-    ds = np.geomspace(1e-3, max(source.d_max(loss), 1e-2), 50)
-    worst = 0.0
-    for d in ds:
-        direct = bounds_mod.shannon_lower_bound(d, h_p, loss)
-        parametric = h_p - tilted_entropy(slope_of_distortion(d, loss), loss)
-        worst = max(worst, abs(direct - parametric))
-    checks.append({"name": "slb_two_route", "max_abs_diff": worst, "tol": 1e-12,
-                   "passed": worst <= 1e-12})
-
-    # upper-bound dominance at matched slopes
-    worst_ge = -math.inf
-    worst_au = -math.inf
-    for s in -np.geomspace(0.5, 50.0, 12):
-        ru = bounds_mod.convolution_upper_bound(source, s, loss)
-        rge = bounds_mod.gaussian_entropy_bound(source, s, loss)
-        worst_ge = max(worst_ge, ru.raw_rate - rge.raw_rate)
-        if isinstance(source, Laplacian):
-            rau = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
-            worst_au = max(worst_au, ru.raw_rate - rau.raw_rate)
-    checks.append({"name": "dominance_ru_rge", "max_excess": worst_ge, "tol": 1e-9,
-                   "passed": worst_ge <= 1e-9})
-    if isinstance(source, Laplacian):
-        checks.append({"name": "dominance_ru_rau", "max_excess": worst_au, "tol": 1e-9,
-                       "passed": worst_au <= 1e-9})
-
-    # kernel characteristic function against direct cosine-transform quadrature
+    """Every bound and BA value here is read off ``_sweep_point`` rows."""
     from .quadrature import integrate, panel_edges
     from .spectral import tilted_cf
-    from .tilted import tilted_pdf
 
+    def rows(selected, slopes, n=args.ba_n):
+        return [_sweep_point(source, loss, selected, s, distortion_of_slope(s, loss), n, args)
+                for s in slopes]
+
+    # closed form of the lower bound against its slope-parametric route
+    h_p = source.differential_entropy()
+    ds = np.geomspace(1e-3, max(source.d_max(loss), 1e-2), 50)
+    slb_rows = [_sweep_point(source, loss, ("slb",), slope_of_distortion(d, loss), d,
+                             args.ba_n, args) for d in ds]
+    worst = max(abs(r["R_slb"] - (h_p - tilted_entropy(r["s"], loss))) for r in slb_rows)
+    checks = [_limit_check("slb_two_route", "max_abs_diff", worst, 1e-12)]
+
+    # upper-bound dominance at matched slopes
+    dominance = rows(("ru", "rau", "rge"), -np.geomspace(0.5, 50.0, 12))
+    for name, col in (("dominance_ru_rge", "R_ge"), ("dominance_ru_rau", "R_au")):
+        if col == "R_ge" or isinstance(source, Laplacian):
+            worst = max((r["R_u"] - r[col] for r in dominance if r["R_u"] is not None),
+                        default=None)
+            checks.append(_limit_check(name, "max_excess", worst, 1e-9, dominance))
+
+    # kernel characteristic function against direct cosine-transform quadrature
     eps_cf = loss.epsilon if loss.epsilon > 0 else 0.1
     loss_cf = EpsilonLoss(eps_cf)
     worst = 0.0
@@ -369,44 +337,39 @@ def _verify_checks(source, loss, args) -> list[dict]:
             edges = panel_edges([0.0, eps_cf, upper], min(period / 3.0, 2.0))
             quad = 2.0 * integrate(lambda x: tilted_pdf(x, s, loss_cf) * np.cos(omega * x), edges)
             worst = max(worst, abs(quad - tilted_cf(omega, s, loss_cf)))
-    checks.append({"name": "cf_consistency", "max_abs_diff": worst, "tol": 1e-7,
-                   "passed": worst <= 1e-7})
+    checks.append(_limit_check("cf_consistency", "max_abs_diff", worst, 1e-7))
 
-    # BA sandwich between the lower bound and the convolution upper bound; a
-    # failed solve comes back NaN, which max() would skip, so it is checked
-    # for explicitly and its flag fails the check
-    def ba_points(s_list, n):
-        points = ba_mod.ba_curve(source, loss, s_list, n=n, tol=args.ba_tol,
-                                 max_iter=args.ba_max_iter)
-        return {pt.s: pt for pt in points}
-
-    sandwich = ba_points((-2.0, -5.0, -20.0), args.ba_n)
-    errors = [pt.flag for pt in sandwich.values() if not math.isfinite(pt.r)]
-    excess = []
-    for s, pt in sandwich.items():
-        if math.isfinite(pt.r):
-            slb = bounds_mod.shannon_lower_bound(distortion_of_slope(s, loss), h_p, loss)
-            ru = bounds_mod.convolution_upper_bound(source, s, loss)
-            excess += [slb - pt.r, pt.r - ru.r]
+    # BA sandwich between the lower bound and the (clamped) convolution upper
+    # bound; a row whose BA or R_U cell failed fails the check instead
+    sandwich = rows(("slb", "ru", "ba"), (-2.0, -5.0, -20.0))
+    excess = [e for r in sandwich if r["R_ba"] is not None and r["R_u"] is not None
+              for e in (r["R_slb"] - r["R_ba"], r["R_ba"] - max(r["R_u"], 0.0))]
     checks.append(_limit_check("ba_sandwich", "max_excess", max(excess, default=None), 2e-2,
-                               errors))
+                               sandwich))
 
     # grid-convergence of the BA point at a reference slope: the odd n nearest
     # half of --ba-n against the sandwich's own s = -5 solve
     n_coarse = max((args.ba_n // 2) | 1, 3)
-    coarse, fine = ba_points((-5.0,), n_coarse)[-5.0], sandwich[-5.0]
-    errors = [pt.flag for pt in (coarse, fine) if not math.isfinite(pt.r)]
-    drift = None if errors else max(abs(coarse.d - fine.d), abs(coarse.r - fine.r))
-    if n_coarse == args.ba_n:
-        errors.append(f"coarse grid n={n_coarse} is the --ba-n grid itself")
-    checks.append(_limit_check("ba_grid_convergence", "max_change", drift, 5e-3, errors))
+    pair = rows(("ba",), (-5.0,), n_coarse) + sandwich[1:2]
+    coarse, fine = (r["ba"] for r in pair)
+    drift = (None if any(r["R_ba"] is None for r in pair)
+             else max(abs(coarse.d - fine.d), abs(coarse.r - fine.r)))
+    same = [f"coarse grid n={n_coarse} is the --ba-n grid itself"] if n_coarse == args.ba_n else []
+    checks.append(_limit_check("ba_grid_convergence", "max_change", drift, 5e-3, pair, same))
     return checks
 
 
-def _limit_check(name, key, value, tol, errors) -> dict:
-    """A verify check that value <= tol; any error fails it and is listed."""
+def _limit_check(name, key, value, tol, rows=(), errors=()) -> dict:
+    """A verify check that value <= tol.  An ``_error:`` note in any of its rows,
+    or a given error, fails it and is listed; unconverged BA rows list their s."""
+    errors = [note for r in rows for note in r["notes"].values() if "_error:" in note] + [*errors]
     check = {"name": name, key: value, "tol": tol, "passed": not errors and value <= tol}
-    return {**check, "errors": errors} if errors else check
+    if errors:
+        check["errors"] = errors
+    stalled = [r["s"] for r in rows if r["notes"].get("ba") == "ba_not_converged"]
+    if stalled:
+        check["not_converged"] = stalled
+    return check
 
 
 def cmd_verify(args) -> int:
@@ -434,16 +397,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         # pull config-file defaults in ahead of the explicit flags so that
-        # explicitly passed flags win (argparse keeps the last occurrence)
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise ConfigError("--config needs a path")
-            injected = _load_config(argv[at + 1])
-            head = argv[:1]
-            tail = argv[1:]
-            argv = head + injected + tail
+        # explicitly passed flags win (argparse keeps the last occurrence);
+        # --config PATH and --config=PATH name the file alike
+        for at, token in enumerate(argv):
+            key, eq, path = token.partition("=")
+            if key == "--config":
+                if not eq:
+                    if at + 1 >= len(argv):
+                        raise ConfigError("--config needs a path")
+                    path = argv[at + 1]
+                argv = argv[:1] + _load_config(path) + argv[1:]
+                break
         args = parser.parse_args(argv)
+        if args.threads < 0:
+            raise ConfigError("threads must be >= 0 (0 means machine parallelism)")
         handler = {
             "bounds": cmd_bounds,
             "dmax": cmd_dmax,

@@ -1,9 +1,18 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rdbounds.cli import COLUMNS, main
+from rdbounds import bounds
+from rdbounds.cli import COLUMNS, build_parser, main
+from rdbounds.sources import Gaussian, Laplacian
+from rdbounds.tilted import EpsilonLoss, distortion_of_slope
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +147,75 @@ class TestBoundsSweep:
         assert header == COLUMNS and len(rows) == 6
 
 
+class TestEmitContract:
+    """Every CSV cell and the whole flags string, rebuilt from direct library
+    calls: max(raw, 0) as .12g (divided by ln 2 in bits), and one flag per
+    bound in column order, clamps carrying the raw nats value."""
+
+    @staticmethod
+    def expected_rows(source, loss, slopes, selected, scale):
+        h_p = source.differential_entropy()
+        lap = isinstance(source, Laplacian)
+        rows = []
+        for s in slopes:
+            d = distortion_of_slope(s, loss)
+            raw = {
+                "slb": bounds.shannon_lower_bound(d, h_p, loss),
+                "ru": bounds.convolution_upper_bound(source, s, loss).raw_rate,
+                "rau": (bounds.analytic_upper_bound_laplacian(s, source.alpha, loss).raw_rate
+                        if lap else "rau_unsupported"),
+                "rge": bounds.gaussian_entropy_bound(source, s, loss).raw_rate,
+                "trivial": (bounds.trivial_upper_bound_laplacian(d, source.alpha)
+                            if lap else "trivial_unsupported"),
+            }
+            cells, flags = [f"{s:.12g}", f"{d:.12g}"], []
+            for name in ("slb", "ru", "rau", "rge", "trivial"):
+                value = raw[name] if name in selected else None
+                if isinstance(value, str):
+                    cells.append("")
+                    flags.append(value)
+                elif value is None:
+                    cells.append("")
+                else:
+                    cells.append(f"{max(value, 0.0) / scale:.12g}")
+                    if value < 0.0:
+                        flags.append(f"{name}_clamped:{value:.6g}")
+            rows.append((d, ",".join(cells + [""] + [";".join(flags)])))
+        return [line for _, line in sorted(rows)]
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_laplacian_slope_grid(self, capsys, units):
+        alpha, loss = math.sqrt(2), EpsilonLoss(0.1)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--source", "laplacian", "--alpha", str(alpha),
+            "--epsilon", "0.1", "--grid-min", "0.01", "--grid-max", "50", "--grid-count", "9",
+            "--bounds", "slb,ru,rau,rge,trivial", "--units", units,
+        )
+        assert code == 0
+        assert "slb_clamped:" in out
+        scale = math.log(2.0) if units == "bits" else 1.0
+        slopes = [-float(v) for v in np.geomspace(0.01, 50, 9)]
+        expected = self.expected_rows(Laplacian(alpha), loss, slopes,
+                                      ("slb", "ru", "rau", "rge", "trivial"), scale)
+        assert out.strip().split("\n")[1:] == expected
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_gaussian_unsupported_columns(self, capsys, units):
+        loss = EpsilonLoss(0.1)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--source", "gaussian", "--epsilon", "0.1",
+            "--grid-min", "0.05", "--grid-max", "20", "--grid-count", "5",
+            "--bounds", "slb,rau,trivial", "--units", units,
+        )
+        assert code == 0
+        assert "slb_clamped:" in out
+        scale = math.log(2.0) if units == "bits" else 1.0
+        slopes = [-float(v) for v in np.geomspace(0.05, 20, 5)]
+        expected = self.expected_rows(Gaussian(1.0), loss, slopes,
+                                      ("slb", "rau", "trivial"), scale)
+        assert out.strip().split("\n")[1:] == expected
+
+
 class TestFigureData:
     def test_laplacian_curve_shape(self, capsys):
         # the closed-form analytic bound hugs the lower bound at small
@@ -216,6 +294,22 @@ class TestConfigHandling:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--config", "/nonexistent.cfg")
         assert code == 2
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("epsilon=0.1\ngrid-min=1\ngrid-max=8\ngrid-count=4\nbounds=slb\n")
+        code, spaced, _ = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == 0 and len(parse_csv(spaced)[1]) == 4
+        code, joined, _ = run_cli(capsys, "bounds", f"--config={cfg}")
+        assert code == 0 and joined == spaced
+        code, _, err = run_cli(capsys, "bounds", "--config=/nonexistent.cfg")
+        assert code == 2 and "not found" in err
+
+    def test_negative_threads_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, *BOUNDS_ARGS, "--threads", "-5")
+        assert code == 2 and "threads" in err
+        code, _, _ = run_cli(capsys, *BOUNDS_ARGS, "--threads", "0")
+        assert code == 0
 
 
 class TestDmax:
@@ -350,6 +444,16 @@ class TestVerify:
         assert all(e.startswith("ba_error:") for e in sandwich["errors"])
         assert not by_name["ba_grid_convergence"]["passed"]
 
+    def test_lists_unconverged_solves(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--source", "laplacian", "--epsilon", "0.1", "--ba-n", "201",
+            "--ba-max-iter", "3", "--format", "json",
+        )
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["ba_sandwich"]["not_converged"] == [-2.0, -5.0, -20.0]
+        assert by_name["ba_grid_convergence"]["not_converged"] == [-5.0, -5.0]
+        assert "not_converged" not in by_name["dominance_ru_rge"]
+
     def test_grid_convergence_needs_a_coarser_grid(self, capsys):
         # at n = 3 the coarse grid rounds up to n = 3 itself: nothing to compare
         code, out, _ = run_cli(
@@ -360,3 +464,16 @@ class TestVerify:
         check = {c["name"]: c for c in json.loads(out)["checks"]}["ba_grid_convergence"]
         assert not check["passed"]
         assert any("--ba-n" in e for e in check["errors"])
+
+
+class TestReadme:
+    def test_shell_commands_parse(self):
+        # every rdbounds command of README's shell blocks, continuations joined
+        text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+        commands = [shlex.split(line, comments=True) for block in blocks
+                    for line in block.splitlines() if line.startswith("rdbounds ")]
+        assert len(commands) >= 4
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
