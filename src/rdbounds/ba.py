@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .bounds import RDPoint
 from .sources import Source, _check_grid
@@ -97,17 +96,21 @@ class _ToeplitzKernel:
     """FFT circular-convolution application of the symmetric Toeplitz kernel."""
 
     def __init__(self, values: np.ndarray):
+        # scipy.fft loads here, so that only a BA solve pays its import
+        from scipy import fft
+
+        self.fft = fft
         n = values.size
         self.n = n
-        self.size = sfft.next_fast_len(2 * n, real=True)
+        self.size = fft.next_fast_len(2 * n, real=True)
         col = np.zeros(self.size)
         col[:n] = values
         col[self.size - n + 1 :] = values[1:][::-1]
-        self.f_col = sfft.rfft(col)
+        self.f_col = fft.rfft(col)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        fv = sfft.rfft(v, self.size)
-        return sfft.irfft(self.f_col * fv, self.size)[: self.n]
+        fv = self.fft.rfft(v, self.size)
+        return self.fft.irfft(self.f_col * fv, self.size)[: self.n]
 
 
 def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) -> BAResult:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from .convolution import conv_entropy
 from .sources import Source
 from .tilted import (
@@ -88,6 +86,26 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     return source_entropy - math.log(2.0 * eps + d + r) - 2.0 * d / (d + r)
 
 
+def _lambertw0(x: float) -> float:
+    """Principal branch W0(x) for x >= 0, by Halley's iteration on w e^w = x.
+
+    Starts from log(1 + x), less log of that for x > 3, and stops after the
+    first step below 1e-8 relative: convergence is cubic, so what that step
+    leaves is round-off.
+    """
+    w = math.log1p(x)
+    if x > 3.0:
+        w -= math.log(w)
+    for _ in range(64):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-8 * w:
+            break
+    return w
+
+
 def slb_zero(source: Source, loss: EpsilonLoss) -> float:
     """Distortion where the lower bound crosses zero, in closed form.
 
@@ -100,7 +118,7 @@ def slb_zero(source: Source, loss: EpsilonLoss) -> float:
     eps = loss.epsilon
     if eps > 0.0 and h_p - math.log(2.0 * eps) <= 0.0:
         raise ValueError("SLB vacuous: nonpositive for every distortion")
-    t = float(special.lambertw(2.0 * eps * math.exp(1.0 - h_p)).real)
+    t = _lambertw0(2.0 * eps * math.exp(1.0 - h_p))
     return 0.5 * (1.0 - t) ** 2 * math.exp(h_p - 1.0 + t)
 
 

@@ -108,8 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path) -> list[str]:
-    """Turn a key=value file into an argv fragment (later flags override it)."""
+def _load_config(path, command, options) -> list[str]:
+    """Turn a key=value file into an argv fragment of ``command``'s flags.
+
+    A key is a long flag name without its dashes; ``options`` maps every
+    subcommand to its flags.  A key that only other subcommands take is
+    skipped, so that one file can serve them all; a key that none takes is an
+    error.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     argv = []
@@ -120,9 +126,41 @@ def _load_config(path) -> list[str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            argv.extend([f"--{key.strip()}", value.strip()])
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = f"--{key}"
+            if flag in options[command]:
+                argv.extend([flag, value])
+            elif not any(flag in flags for flags in options.values()):
+                raise ConfigError(f"{path}: line {lineno}: no subcommand takes {key!r}")
     return argv
+
+
+def _splice_config(argv, parser) -> list[str]:
+    """argv with ``--config PATH`` (or ``--config=PATH``), before or after the
+    subcommand, replaced by the file's flags right after the subcommand.
+
+    The explicit flags then follow the file's and win, since argparse keeps
+    the last occurrence.
+    """
+    for at, token in enumerate(argv):
+        key, eq, path = token.partition("=")
+        if key == "--config":
+            break
+    else:
+        return argv
+    if not eq:
+        if at + 1 >= len(argv):
+            raise ConfigError("--config needs a path")
+        path = argv[at + 1]
+    rest = argv[:at] + argv[at + (1 if eq else 2):]
+    if any(token.partition("=")[0] == "--config" for token in rest):
+        raise ConfigError("--config may be given only once")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    at = next((i for i, token in enumerate(rest) if token in options), None)
+    if at is None:
+        return rest  # argparse reports the missing subcommand
+    return rest[:at + 1] + _load_config(path, rest[at], options) + rest[at + 1:]
 
 
 def make_source(args) -> Source:
@@ -396,19 +434,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # pull config-file defaults in ahead of the explicit flags so that
-        # explicitly passed flags win (argparse keeps the last occurrence);
-        # --config PATH and --config=PATH name the file alike
-        for at, token in enumerate(argv):
-            key, eq, path = token.partition("=")
-            if key == "--config":
-                if not eq:
-                    if at + 1 >= len(argv):
-                        raise ConfigError("--config needs a path")
-                    path = argv[at + 1]
-                argv = argv[:1] + _load_config(path) + argv[1:]
-                break
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_splice_config(argv, parser))
         if args.threads < 0:
             raise ConfigError("threads must be >= 0 (0 means machine parallelism)")
         handler = {

@@ -10,7 +10,8 @@ O(points + cells) and keeps its relative accuracy where it is tiny.  The
 entropy of r is one Gauss-Legendre panel sum for every family; each family
 supplies only its panel edges: the half line for the two even smooth
 densities, and breaks at every cell edge +- eps for tabulated sources, where
-r is linear plus exponentials between breaks.
+r is linear plus exponentials between breaks.  Only the Gaussian density
+imports scipy.special, inside its own functions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from itertools import accumulate
 
 import numpy as np
-from scipy import special
 
 from .quadrature import panel_edges, panel_nodes
 from .sources import Gaussian, Laplacian, Source, Tabulated
@@ -52,7 +52,11 @@ def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: floa
 
 def _exp_divided_difference(u, s: float, alpha: float):
     """(e^{s u} - e^{-alpha u}) / (s + alpha) for u >= 0, finite at s = -alpha."""
-    return u * np.exp(max(s, -alpha) * u) * special.exprel(-abs(s + alpha) * u)
+    x = -abs(s + alpha) * u
+    # exprel(x) = expm1(x) / x, equal to 1 at x = 0
+    with np.errstate(invalid="ignore"):
+        exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    return u * np.exp(max(s, -alpha) * u) * exprel
 
 
 def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
@@ -88,6 +92,8 @@ def _gaussian_tail(w, s: float, sigma: float):
     exponentially modified Gaussian.  Where the normal argument is positive the
     product is rewritten with erfcx, which keeps it free of overflow.
     """
+    from scipy import special
+
     b = abs(s)
     z = (b * sigma * sigma - w) / sigma
     scaled = 0.5 * special.erfcx(np.maximum(z, 0.0) / math.sqrt(2.0)) * np.exp(
@@ -99,6 +105,8 @@ def _gaussian_tail(w, s: float, sigma: float):
 
 def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
     """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails."""
+    from scipy import special
+
     eps = loss.epsilon
     ay = np.abs(y)
     root2 = math.sqrt(2.0) * sigma

@@ -2,7 +2,8 @@
 
 Each source exposes the four quantities every bound needs: the density, its
 differential entropy h(p) in nats, its variance, and the zero-rate distortion
-d_max(loss) = inf_y E[loss(X - y)].
+d_max(loss) = inf_y E[loss(X - y)].  The Gaussian's methods import
+scipy.special where they call it, so that no other source loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .tilted import EpsilonLoss
 
@@ -28,6 +28,8 @@ __all__ = [
 
 def erfc_tail(x):
     """Upper-tail standard normal probability P(Z > x), accurate to ~1e-16."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(x / math.sqrt(2.0))
     return out if out.ndim else float(out)
@@ -155,9 +157,13 @@ class Gaussian(Source):
         return 2.0 * (self.sigma2 * self.pdf(eps) - eps * erfc_tail(eps / self.sigma))
 
     def tail_mass(self, t: float) -> float:
+        from scipy import special
+
         return float(special.erfc(max(t, 0.0) / (self.sigma * math.sqrt(2.0))))
 
     def tail_span(self, mass: float) -> float:
+        from scipy import special
+
         return self.sigma * math.sqrt(2.0) * float(special.erfcinv(mass))
 
 

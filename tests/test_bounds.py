@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from rdbounds import (
     EpsilonLoss,
@@ -22,6 +22,8 @@ from rdbounds import (
     tilted_entropy,
     trivial_upper_bound_laplacian,
 )
+from rdbounds import convolution
+from rdbounds.bounds import _lambertw0
 
 import oracles
 
@@ -116,6 +118,12 @@ class TestSlbZero:
         root = slb_zero(LAP, EpsilonLoss(edge * (1.0 - 1e-6)))
         assert 0.0 < root < 1e-9
 
+    def test_lambertw0_matches_scipy(self):
+        xs = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 4001),
+                             np.linspace(0.0, math.e, 1001)])
+        got = np.array([_lambertw0(float(x)) for x in xs])
+        np.testing.assert_array_max_ulp(got, special.lambertw(xs).real, maxulp=2)
+
 
 class TestTrivialBound:
     def test_values(self):
@@ -178,6 +186,28 @@ class TestLaplacianConvPdf:
         vals = np.array([laplacian_conv_pdf(y, s, ALPHA, EpsilonLoss(0.1)) for s in MATCHED])
         assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
         assert np.max(np.abs(vals[1:] / vals[0] - 1.0)) <= 1e-8
+
+    # (alpha, s): s = -alpha, where the divided difference meets exprel(0),
+    # and |s + alpha| = 1e-300, 1e-17, 1e-8 and 1 on both sides of it
+    EXPREL_CASES = [(ALPHA, -ALPHA)] + [
+        (alpha, -alpha + side * gap) for alpha, gap in
+        ((1e-290, 1e-300), (0.01, 1e-17), (ALPHA, 1e-8), (ALPHA, 1.0)) for side in (1, -1)]
+
+    @pytest.mark.parametrize("alpha,s", EXPREL_CASES)
+    def test_matches_scipy_exprel_expression(self, monkeypatch, alpha, s):
+        loss = EpsilonLoss(0.1 / alpha)
+        y = np.linspace(0.0, 40.0, 4001) / alpha
+        got = laplacian_conv_pdf(y, s, alpha, loss)
+        monkeypatch.setattr(convolution, "_exp_divided_difference", lambda u, s, alpha: (
+            u * np.exp(max(s, -alpha) * u) * special.exprel(-abs(s + alpha) * u)))
+        want = laplacian_conv_pdf(y, s, alpha, loss)
+        if s == -alpha:
+            assert np.array_equal(got, want)
+        else:
+            # numpy may run expm1 as SIMD code (AVX-512) that rounds 1 ulp away
+            # from the C library's expm1 inside exprel on ~1 % of arguments;
+            # where the density's terms cancel that reads as up to 4 ulp
+            np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
 
 class TestNumericConvolution:

@@ -305,6 +305,38 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "bounds", "--config=/nonexistent.cfg")
         assert code == 2 and "not found" in err
 
+    def test_config_before_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("epsilon=0.1\ngrid-min=1\ngrid-max=8\ngrid-count=4\nbounds=slb\n")
+        code, after, _ = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == 0 and len(parse_csv(after)[1]) == 4
+        for lead in (["--config", str(cfg)], [f"--config={cfg}"]):
+            code, before, _ = run_cli(capsys, *lead, "bounds")
+            assert code == 0 and before == after
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "bounds", "--grid-count", "2")
+        assert code == 0 and len(parse_csv(out)[1]) == 2
+        code, _, err = run_cli(capsys, "--config", str(cfg), "bounds", "--config=/none.cfg")
+        assert code == 2 and "only once" in err
+
+    def test_one_file_serves_every_subcommand(self, capsys, tmp_path):
+        # grid-count and bounds are flags of bounds only; dmax and ba skip them
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("epsilon=0.1\ngrid-min=1\ngrid-max=8\ngrid-count=2\nbounds=slb\n"
+                       "ba-n=5\nformat=json\n")
+        code, out, _ = run_cli(capsys, "dmax", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["d_max_eps"] == Laplacian(1.0).d_max(EpsilonLoss(0.1))
+        code, out, _ = run_cli(capsys, "ba", "--config", str(cfg), "--format", "csv")
+        assert code == 0 and len(parse_csv(out)[1]) == 2
+
+    def test_key_no_subcommand_takes_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("epsilon=0.1\n\ngrid-cnt=2\n")
+        for command in ("bounds", "dmax"):
+            code, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert code == 2
+            assert f"{cfg}: line 3" in err and "grid-cnt" in err
+
     def test_negative_threads_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, *BOUNDS_ARGS, "--threads", "-5")
         assert code == 2 and "threads" in err
