@@ -1,17 +1,11 @@
 """Convolution of a source with the tilted kernel, and its entropy.
 
-The blurred density r(y) = (g * p)(y) is the reproduction marginal of the
-test channel behind the convolution upper bound.  Each source family has its
-own exact density: the Laplacian and the Gaussian in closed form, tabulated
-sources as a sum over cells.  For a tabulated source the cells wholly beyond
-y -+ eps see one exponential tail of the kernel and add up to two geometric
-sums; only the cells within eps of y take kernel-CDF differences, so r costs
-O(points + cells) and keeps its relative accuracy where it is tiny.  The
-entropy of r is one Gauss-Legendre panel sum for every family; each family
-supplies only its panel edges: the half line for the two even smooth
-densities, and breaks at every cell edge +- eps for tabulated sources, where
-r is linear plus exponentials between breaks.  Only the Gaussian density
-imports scipy.special, inside its own functions.
+r(y) = (g * p)(y) is the reproduction marginal behind the convolution upper
+bound.  It is closed form for the Laplacian and the Gaussian, and for a
+tabulated source an exact cell sum (see _tabulated_conv_pdf) whose terms are
+all positive, so it keeps its relative accuracy where it is tiny.  The
+entropy of r is one Gauss-Legendre panel sum, with a break at every cell
+edge +- eps for tabulated sources.  Only the Gaussian imports scipy.special.
 """
 
 from __future__ import annotations
@@ -27,8 +21,6 @@ from .tilted import EpsilonLoss, _check_slope, normalizer, tilted_cdf
 
 __all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy"]
 
-_CHUNK = 128
-
 
 def _kernel_reach(s: float) -> float:
     # beyond eps + 45/|s| the kernel is below e^-45 of its peak
@@ -36,11 +28,7 @@ def _kernel_reach(s: float) -> float:
 
 
 def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: float) -> np.ndarray:
-    """Panel edges on [0, upper] for integrating -r log r.
-
-    r is smooth at the source scale except near eps, where the kernel skirt
-    introduces structure at scale 1/|s|.
-    """
+    """Panel edges on [0, upper] for -r log r: source-scale panels, finer near eps."""
     eps = loss.epsilon
     fine_half = min(_kernel_reach(s), eps) if eps > 0.0 else 0.0
     fine_hi = min(eps + _kernel_reach(s), upper)
@@ -121,45 +109,56 @@ def _tail_sums(dens: np.ndarray, decay: float) -> np.ndarray:
                        float, dens.size + 1)
 
 
-def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
-    """Exact cellwise convolution in O(len(y) + cells).
+def _window_sums(masses: np.ndarray, width: int) -> np.ndarray:
+    """W[i] = masses[i] + ... + masses[i + width - 1], summed in blocks of 2^n cells."""
+    out, block, size, start = np.zeros(masses.size - width + 1), masses, 1, 0
+    while width:
+        if width & 1:
+            out, start = out + block[start:start + out.size], start + size
+        block, size, width = block[:-size] + block[size:], 2 * size, width >> 1
+    return out
 
-    A cell wholly at or beyond y -+ eps sees one exponential tail of the
-    kernel, so each side is a geometric sum of positive terms, kept as a
-    running sum over the cells and weighted by the decay from the nearest
-    edge.  Only the cells reaching into (y - eps, y + eps) take kernel-CDF
-    differences.  Nodes are sorted first, so that each block of rows reads
-    one contiguous range of cells and the result does not depend on their
-    order.
+
+def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
+    """Exact cellwise convolution in O(len(y) + cells log cells), elementwise in y.
+
+    Cells wholly at or beyond y -+ eps see one exponential tail of the kernel
+    and add up to two running geometric sums, cells wholly inside the band add
+    m_c / C(s) each, and only the cells holding y -+ eps take CDF differences.
     """
-    h = source.spacing
-    cell_edges = source.edges
+    h, cell_edges = source.spacing, source.edges
     dens = source.masses / h
-    cells, eps, b = dens.size, loss.epsilon, abs(s)
+    masses = dens * np.diff(cell_edges)  # each cell's mass between its own edges
+    cells, eps, b, c = dens.size, loss.epsilon, abs(s), normalizer(s, loss)
     decay = math.exp(-b * h)
-    left = _tail_sums(dens, decay)
-    right = _tail_sums(dens[::-1], decay)[::-1]
-    order = np.argsort(y, axis=None, kind="stable")
-    ys = y.ravel()[order]
-    # cells [0, k) end at or left of y - eps, cells [j, cells) start at or
-    # right of y + eps; a node on an edge is counted once when eps = 0
-    k = np.clip(np.searchsorted(cell_edges, ys - eps, side="right") - 1, 0, cells)
-    j = np.minimum(np.searchsorted(cell_edges, ys + eps, side="left"), cells)
-    scale = -math.expm1(-b * h) / (b * normalizer(s, loss))
-    out = scale * (np.exp(-b * np.maximum(ys - eps - cell_edges[k], 0.0)) * left[k]
-                   + np.exp(-b * np.maximum(cell_edges[j] - ys - eps, 0.0)) * right[j])
-    for start in range(0, ys.size, _CHUNK):
-        block = slice(start, start + _CHUNK)
-        lo, hi = int(k[block][0]), int(j[block][-1])
-        if hi <= lo:
-            continue
-        cdf = tilted_cdf(ys[block, None] - cell_edges[None, lo:hi + 1], s, loss)
-        near = np.arange(lo, hi)
-        near = (near >= k[block, None]) & (near < j[block, None])
-        out[block] += np.where(near, cdf[:, :-1] - cdf[:, 1:], 0.0) @ dens[lo:hi]
-    result = np.empty_like(out)
-    result[order] = out
-    return result.reshape(y.shape)
+    # padded tables, so that indices 0..cells + 1 need no clipping: edges[n] is
+    # edge n - 1 (clamped), pad[n] the density of cell n - 1 (0 off the ends),
+    # left[n] the tail sum over the cells before cell n - 1, right[n] from n on
+    edges = np.concatenate([cell_edges[:1], cell_edges, cell_edges[-1:]])
+    pad = np.concatenate([[0.0], dens, [0.0]])
+    left, right = _tail_sums(pad[:-1], decay), _tail_sums(pad[:0:-1], decay)[::-1]
+    # cell lo - 1 holds y - eps in [e, e') and cell hi - 1 holds y + eps in
+    # (e, e']; cells [0, lo - 1) end at or left of y - eps and cells [hi, cells)
+    # start at or right of y + eps, so at eps = 0 an edge node counts once
+    lo = np.searchsorted(cell_edges, y - eps, side="right")
+    hi = np.searchsorted(cell_edges, y + eps, side="left")
+    out = -math.expm1(-b * h) / (b * c) * (
+        np.exp(-b * np.maximum(y - eps - edges[lo], 0.0)) * left[lo]
+        + np.exp(-b * np.maximum(edges[1:][hi] - y - eps, 0.0)) * right[hi])
+    # one cell holding both ends of the band is counted once
+    for n, keep in ((lo, lo <= hi), (hi, hi > lo)):
+        out += (tilted_cdf(y - edges[n], s, loss)
+                - tilted_cdf(y - edges[1:][n], s, loss)) * np.where(keep, pad[n], 0.0)
+    # the cells [lo, hi - 1) between them: a prefix or a suffix where the band
+    # overhangs an end of the source, else a window of a width 2 eps / h allows
+    prefix = np.cumsum(np.append([0.0, 0.0], masses))
+    suffix = np.cumsum(np.append(masses, [0.0, 0.0])[::-1])[::-1]
+    inside = np.where(lo == 0, prefix[hi], np.where(hi > cells, suffix[lo], 0.0))
+    width = hi - lo - 1
+    width[(lo == 0) | (hi > cells)] = 0
+    for w in np.unique(width[width > 0]):
+        inside[width == w] = _window_sums(masses, int(w))[lo[width == w]]
+    return out + inside / c
 
 
 def _unsupported(source: Source) -> TypeError:

@@ -245,12 +245,14 @@ class Tabulated(Source):
 def load_tabulated_csv(path) -> Tabulated:
     """Load a tabulated source from a two-column CSV of (x, mass) rows.
 
-    An optional single header line is skipped.  Masses must sum to 1 within
-    1e-6 and are renormalized; anything further off is rejected.
+    An optional single header line is skipped, and so is a UTF-8 byte-order
+    mark, which would otherwise make a first data row look like a header.
+    Masses must sum to 1 within 1e-6 and are renormalized; anything further
+    off is rejected.
     """
     xs: list[float] = []
     ms: list[float] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

@@ -72,12 +72,20 @@ def tilted_cdf(t, s: float, loss: EpsilonLoss):
     b = abs(s)
     c = normalizer(s, loss)
     t = np.asarray(t, dtype=float)
-    # exponents are clipped at 0 so the out-of-branch values neither overflow
-    # nor poison np.where
-    lo = np.exp(np.minimum(b * (t + eps), 0.0)) / (b * c)
-    hi = 1.0 - np.exp(np.minimum(-b * (t - eps), 0.0)) / (b * c)
-    mid = 1.0 / (b * c) + (t + eps) / c
-    out = np.where(t <= -eps, lo, np.where(t >= eps, hi, mid))
+    # the middle branch is built in place on every lane and each tail only on
+    # its own lanes (sign -1: the upper tail 1 - e^{-b(t - eps)} / (b C)), so
+    # no exponent overflows and no value np.where would discard is computed;
+    # the lower tail is written last and wins at t = eps = 0
+    out = np.asarray(t + eps)
+    out /= c
+    out += 1.0 / (b * c)
+    for lanes, sign in ((t >= eps, -1.0), (t <= -eps, 1.0)):
+        x = t[lanes]
+        x += sign * eps
+        x *= sign * b
+        np.exp(x, out=x)
+        x /= b * c
+        out[lanes] = x if sign > 0.0 else np.subtract(1.0, x, out=x)
     return out if out.ndim else float(out)
 
 

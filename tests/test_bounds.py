@@ -257,6 +257,42 @@ class TestNumericConvolution:
             got = conv_pdf(TAB, s, EpsilonLoss(eps), ys[shuffled])
             np.testing.assert_array_equal(got, want[shuffled])
 
+    @pytest.mark.parametrize("eps", [0.35, 1.0])
+    @pytest.mark.parametrize("s", [-20.0, -200.0])
+    def test_tabulated_relative_accuracy_inside_light_band(self, eps, s):
+        # 49 cells of mass 1e-30 between heavy outer cells: the cells wholly
+        # inside the band add their own tiny masses, which a difference of
+        # running sums across the heavy cells would round to 0
+        grid = 0.1 * np.arange(-30, 31)
+        light = np.abs(grid) < 2.45
+        src = Tabulated(grid, np.where(light, 1e-30, 1.0 / np.count_nonzero(~light)))
+        ys = [0.0, 0.33, -0.9, 1.2]
+        got = conv_pdf(src, s, EpsilonLoss(eps), ys)
+        for y, value in zip(ys, got):
+            want = oracles.conv_cells_quad(src.grid, src.masses, s, eps, y)
+            assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_tabulated_kernel_cdf_points_per_node(self, monkeypatch):
+        # a band of about 600 cells still takes the kernel CDF only at the
+        # edges of the two cells that hold its ends
+        src = Tabulated(np.linspace(-6.0, 6.0, 1201), np.full(1201, 1.0 / 1201))
+        nodes, points = [], []
+        real_pdf, real_cdf = convolution.conv_pdf, convolution.tilted_cdf
+
+        def pdf(source, s, loss, y):
+            nodes.append(np.size(y))
+            return real_pdf(source, s, loss, y)
+
+        def cdf(t, s, loss):
+            points.append(np.size(t))
+            return real_cdf(t, s, loss)
+
+        monkeypatch.setattr(convolution, "conv_pdf", pdf)
+        monkeypatch.setattr(convolution, "tilted_cdf", cdf)
+        convolution.conv_entropy(src, -5.0, EpsilonLoss(3.0))
+        assert sum(nodes) > 0
+        assert sum(points) <= 4 * sum(nodes)
+
 
 class TestConvolutionUpperBound:
     @pytest.mark.parametrize("src,h_p", [(LAP, H_LAP), (GAU, H_GAU)])
@@ -287,7 +323,7 @@ class TestConvolutionUpperBound:
             want, abs=1e-8)
 
     @pytest.mark.parametrize("src", [TAB, TAB_SHIFTED], ids=["symmetric", "shifted"])
-    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("s", [-0.5, -5.0, -50.0])
     def test_tabulated_matches_kink_quadrature(self, src, eps, s):
         want = oracles.ru_tabulated_quad(src.grid, src.masses, s, eps)

@@ -201,6 +201,20 @@ class TestCsvLoading:
         tab = load_tabulated_csv(path)
         assert tab.masses.tolist() == [0.25, 0.5, 0.25]
 
+    @pytest.mark.parametrize("header", ["", "x,mass\n"], ids=["headerless", "header"])
+    def test_byte_order_mark(self, tmp_path, header):
+        # spreadsheets save "CSV UTF-8" with a BOM; the first data row must not
+        # be taken for a header, although its tiny mass would pass the sum check
+        x = np.arange(-2.0, 2.5, 0.5)
+        m = np.exp(-2.0 * np.abs(x)) ** 10
+        m /= m.sum()
+        rows = "".join(f"{xi!r},{mi!r}\n" for xi, mi in zip(x.tolist(), m.tolist()))
+        path = tmp_path / "src.csv"
+        path.write_text(header + rows, encoding="utf-8-sig")
+        tab = load_tabulated_csv(path)
+        assert tab.grid.tolist() == x.tolist()
+        np.testing.assert_allclose(tab.masses, m, rtol=1e-15)
+
     def test_renormalizes_small_defects(self, tmp_path):
         path = tmp_path / "src.csv"
         path.write_text("-1.0,0.2500004\n0.0,0.5\n1.0,0.25\n")
