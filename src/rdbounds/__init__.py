@@ -19,14 +19,7 @@ from .bounds import (
     trivial_upper_bound_laplacian,
 )
 from .convolution import conv_entropy, conv_pdf, laplacian_conv_pdf
-from .sources import (
-    Gaussian,
-    Laplacian,
-    Source,
-    Tabulated,
-    erfc_tail,
-    load_tabulated_csv,
-)
+from .sources import Gaussian, Laplacian, Source, Tabulated, load_tabulated_csv
 from .spectral import (
     first_witness_index,
     gaussian_deconvolution_density,
@@ -66,7 +59,6 @@ __all__ = [
     "conv_pdf",
     "convolution_upper_bound",
     "distortion_of_slope",
-    "erfc_tail",
     "first_witness_index",
     "gaussian_deconvolution_density",
     "gaussian_entropy_bound",

@@ -7,7 +7,8 @@ reproduction-marginal fixed point
 
 starting from the uniform distribution.  Identical uniform source and
 reproduction grids make K symmetric Toeplitz, so both matrix products per
-iteration are FFT circular convolutions (O(N log N), O(N) kernel storage).
+iteration are circular convolutions through numpy's FFT at a power-of-two
+length (O(N log N), O(N) kernel storage).
 
 The variational objective F(q) = -sum_i p[i] log (K q)[i] is evaluated at
 every iterate; the update never increases it, which is checked against the
@@ -46,11 +47,11 @@ class BAProblem:
         y = np.asarray(self.y_grid, dtype=float).copy()
         if not np.array_equal(x, y):
             raise ValueError("y_grid must match x_grid")
-        _check_slope(self.s)
         y.setflags(write=False)
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "p_mass", p)
         object.__setattr__(self, "y_grid", y)
+        object.__setattr__(self, "s", _check_slope(self.s))
 
     @property
     def spacing(self) -> float:
@@ -96,21 +97,18 @@ class _ToeplitzKernel:
     """FFT circular-convolution application of the symmetric Toeplitz kernel."""
 
     def __init__(self, values: np.ndarray):
-        # scipy.fft loads here, so that only a BA solve pays its import
-        from scipy import fft
-
-        self.fft = fft
         n = values.size
         self.n = n
-        self.size = fft.next_fast_len(2 * n, real=True)
+        # the smallest power of two >= 2n - 1 holds the linear convolution unwrapped
+        self.size = 1 << (2 * n - 2).bit_length()
         col = np.zeros(self.size)
         col[:n] = values
         col[self.size - n + 1 :] = values[1:][::-1]
-        self.f_col = fft.rfft(col)
+        self.f_col = np.fft.rfft(col)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        fv = self.fft.rfft(v, self.size)
-        return self.fft.irfft(self.f_col * fv, self.size)[: self.n]
+        fv = np.fft.rfft(v, self.size)
+        return np.fft.irfft(self.f_col * fv, self.size)[: self.n]
 
 
 def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) -> BAResult:

@@ -177,12 +177,23 @@ def make_source(args) -> Source:
     raise ConfigError(f"unknown source kind: {kind!r}")
 
 
+def _source_and_loss(args) -> tuple[Source, EpsilonLoss]:
+    """The configured source and loss; an out-of-range parameter is a configuration error."""
+    try:
+        return make_source(args), EpsilonLoss(args.epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _grid_points(args, loss) -> list[tuple[float, float]]:
     """(s, d) pairs of the sweep, one per grid value."""
     lo, hi = args.grid_min, args.grid_max
     count = args.grid_count
     if count < 1:
         raise ConfigError("grid-count must be >= 1")
+    for name, value in (("grid-min", lo), ("grid-max", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if args.grid_var == "s":
         lo, hi = abs(lo), abs(hi)
     if not (lo > 0 and hi > 0):
@@ -272,15 +283,17 @@ def _emit(rows, args) -> str:
 
 def _write(text, args):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def cmd_bounds(args, selected=None) -> int:
-    source = make_source(args)
-    loss = EpsilonLoss(args.epsilon)
+    source, loss = _source_and_loss(args)
     if selected is None:
         selected = tuple(b.strip() for b in args.bounds.split(",") if b.strip())
     unknown = set(selected) - set(ALL_BOUNDS)
@@ -302,8 +315,7 @@ def cmd_ba(args) -> int:
 
 
 def cmd_dmax(args) -> int:
-    source = make_source(args)
-    loss = EpsilonLoss(args.epsilon)
+    source, loss = _source_and_loss(args)
     d_eps = source.d_max(loss)
     d_zero = source.d_max(EpsilonLoss(0.0))
     report = {"epsilon": loss.epsilon, "d_max_eps": d_eps, "d_max_zero": d_zero}
@@ -411,8 +423,7 @@ def _limit_check(name, key, value, tol, rows=(), errors=()) -> dict:
 
 
 def cmd_verify(args) -> int:
-    source = make_source(args)
-    loss = EpsilonLoss(args.epsilon)
+    source, loss = _source_and_loss(args)
     checks = _verify_checks(source, loss, args)
     passed = all(c["passed"] for c in checks)
     payload = {"source": args.source, "epsilon": loss.epsilon, "n": args.ba_n,

@@ -5,7 +5,8 @@ bound.  It is closed form for the Laplacian and the Gaussian, and for a
 tabulated source an exact cell sum (see _tabulated_conv_pdf) whose terms are
 all positive, so it keeps its relative accuracy where it is tiny.  The
 entropy of r is one Gauss-Legendre panel sum, with a break at every cell
-edge +- eps for tabulated sources.  Only the Gaussian imports scipy.special.
+edge +- eps for tabulated sources.  The Gaussian density is the one place in
+the package that imports scipy (scipy.special, for erfc and erfcx).
 """
 
 from __future__ import annotations
@@ -73,34 +74,29 @@ def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
     return out if out.ndim else float(out)
 
 
-def _gaussian_tail(w, s: float, sigma: float):
-    """C(s) times the contribution of the kernel's right tail at offset w = y - eps.
+def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
+    """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails.
 
-    Equals e^{s^2 sigma^2 / 2 + s w} P(Z > (|s| sigma^2 - w) / sigma), an
-    exponentially modified Gaussian.  Where the normal argument is positive the
-    product is rewritten with erfcx, which keeps it free of overflow.
+    The kernel's right tail contributes, times C(s) and at offset w = y - eps,
+    e^{s^2 sigma^2 / 2 + s w} P(Z > (|s| sigma^2 - w) / sigma), an exponentially
+    modified Gaussian; the left tail is the same at w = -y - eps.  Where the
+    normal argument is positive the product is rewritten with erfcx, which
+    keeps it free of overflow.
     """
     from scipy import special
 
-    b = abs(s)
+    eps, b = loss.epsilon, abs(s)
+    ay = np.abs(y)
+    root2 = math.sqrt(2.0) * sigma
+    band = 0.5 * (special.erfc((ay - eps) / root2) - special.erfc((ay + eps) / root2))
+    w = np.stack([ay - eps, -ay - eps])
     z = (b * sigma * sigma - w) / sigma
     scaled = 0.5 * special.erfcx(np.maximum(z, 0.0) / math.sqrt(2.0)) * np.exp(
         -0.5 * (w / sigma) ** 2)
     direct = np.exp(np.minimum(0.5 * (b * sigma) ** 2 - b * w, 0.0)) * 0.5 * special.erfc(
         np.minimum(z, 0.0) / math.sqrt(2.0))
-    return np.where(z >= 0.0, scaled, direct)
-
-
-def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
-    """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails."""
-    from scipy import special
-
-    eps = loss.epsilon
-    ay = np.abs(y)
-    root2 = math.sqrt(2.0) * sigma
-    band = 0.5 * (special.erfc((ay - eps) / root2) - special.erfc((ay + eps) / root2))
-    tails = _gaussian_tail(ay - eps, s, sigma) + _gaussian_tail(-ay - eps, s, sigma)
-    return (band + tails) / normalizer(s, loss)
+    tails = np.where(z >= 0.0, scaled, direct)
+    return (band + (tails[0] + tails[1])) / normalizer(s, loss)
 
 
 def _tail_sums(dens: np.ndarray, decay: float) -> np.ndarray:

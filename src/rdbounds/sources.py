@@ -2,8 +2,8 @@
 
 Each source exposes the four quantities every bound needs: the density, its
 differential entropy h(p) in nats, its variance, and the zero-rate distortion
-d_max(loss) = inf_y E[loss(X - y)].  The Gaussian's methods import
-scipy.special where they call it, so that no other source loads scipy.
+d_max(loss) = inf_y E[loss(X - y)].  The Gaussian's tails come from the
+standard library's erfc and normal quantile, so no source loads scipy.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -22,17 +23,8 @@ __all__ = [
     "Laplacian",
     "Gaussian",
     "Tabulated",
-    "erfc_tail",
     "load_tabulated_csv",
 ]
-
-def erfc_tail(x):
-    """Upper-tail standard normal probability P(Z > x), accurate to ~1e-16."""
-    from scipy import special
-
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(x / math.sqrt(2.0))
-    return out if out.ndim else float(out)
 
 
 def _check_grid(grid, masses, grid_name: str, mass_name: str):
@@ -154,17 +146,13 @@ class Gaussian(Source):
 
     def d_max(self, loss: EpsilonLoss) -> float:
         eps = loss.epsilon
-        return 2.0 * (self.sigma2 * self.pdf(eps) - eps * erfc_tail(eps / self.sigma))
+        return 2.0 * self.sigma2 * self.pdf(eps) - eps * self.tail_mass(eps)
 
     def tail_mass(self, t: float) -> float:
-        from scipy import special
-
-        return float(special.erfc(max(t, 0.0) / (self.sigma * math.sqrt(2.0))))
+        return math.erfc(max(t, 0.0) / (self.sigma * math.sqrt(2.0)))
 
     def tail_span(self, mass: float) -> float:
-        from scipy import special
-
-        return self.sigma * math.sqrt(2.0) * float(special.erfcinv(mass))
+        return -self.sigma * NormalDist().inv_cdf(mass / 2.0)
 
 
 @dataclass(frozen=True)

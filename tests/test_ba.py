@@ -57,6 +57,18 @@ class TestBuildProblem:
         prob = build_problem(shifted, EpsilonLoss(0.1), -5.0, n=2001)
         assert abs(float(np.dot(prob.p_mass, prob.x_grid)) - shifted.mean()) < 1e-3
 
+    def test_slope_is_stored_as_a_float(self):
+        # the validated float replaces what was passed: a numeric string solves,
+        # and a numpy slope yields plain-float rates and distortions
+        base = build_problem(GAU, EpsilonLoss(0.1), -2.0, n=101)
+        prob = BAProblem(x_grid=base.x_grid, p_mass=base.p_mass, y_grid=base.y_grid,
+                         loss=base.loss, s="-2")
+        assert type(prob.s) is float and prob.s == -2.0
+        assert type(ba_iterate(prob, max_iter=20).rate) is float
+        (pt,) = ba_curve(GAU, EpsilonLoss(0.1), np.array([-2.0]), n=101, max_iter=20)
+        assert pt.flag in ("", "ba_not_converged")
+        assert type(pt.r) is float and type(pt.d) is float
+
 
 class TestKernelApplication:
     @pytest.mark.parametrize("s", [-0.5, -3.0, -40.0])
@@ -64,13 +76,17 @@ class TestKernelApplication:
         from rdbounds.ba import _ToeplitzKernel
 
         rng = np.random.default_rng(7)
-        x = np.linspace(-4.0, 4.0, 51)
         loss = EpsilonLoss(0.1)
-        dense = np.exp(s * loss(x[:, None] - x[None, :]))
-        kernel = _ToeplitzKernel(np.exp(s * loss((x[1] - x[0]) * np.arange(x.size))))
-        for _ in range(4):
-            v = rng.random(x.size)
-            assert np.max(np.abs(kernel.apply(v) - dense @ v)) < 1e-13
+        # the FFT length is the least power of two >= 2n - 1: n = 64 leaves it
+        # one slot to spare and n = 65 doubles it
+        for n, size in ((51, 128), (64, 128), (65, 256)):
+            x = np.linspace(-4.0, 4.0, n)
+            dense = np.exp(s * loss(x[:, None] - x[None, :]))
+            kernel = _ToeplitzKernel(np.exp(s * loss((x[1] - x[0]) * np.arange(n))))
+            assert kernel.size == size
+            for _ in range(4):
+                v = rng.random(n)
+                assert np.max(np.abs(kernel.apply(v) - dense @ v)) < 1e-13
 
 
 class TestTwoPointSource:

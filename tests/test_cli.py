@@ -343,6 +343,21 @@ class TestConfigHandling:
         code, _, _ = run_cli(capsys, *BOUNDS_ARGS, "--threads", "0")
         assert code == 0
 
+    @pytest.mark.parametrize("argv, named", [
+        (["dmax", "--epsilon", "-1"], "epsilon"),
+        (["dmax", "--alpha", "-1"], "alpha"),
+        (["dmax", "--source", "gaussian", "--sigma2", "nan"], "sigma2"),
+        (["bounds", "--grid-max", "inf"], "grid-max"),
+        (["bounds", "--grid-min", "nan"], "grid-min"),
+        (["bounds", "--grid-var", "d", "--grid-max", "1e400"], "grid-max"),
+        (["dmax", "--output", "{missing}"], "cannot write output"),
+    ])
+    def test_invalid_value_is_one_line_config_error(self, capsys, tmp_path, argv, named):
+        argv = [a.format(missing=tmp_path / "no-such-dir" / "x.csv") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
 
 class TestDmax:
     def test_laplacian_chain(self, capsys):

@@ -2,16 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
-from rdbounds import (
-    EpsilonLoss,
-    Gaussian,
-    Laplacian,
-    Tabulated,
-    erfc_tail,
-    load_tabulated_csv,
-)
+from rdbounds import EpsilonLoss, Gaussian, Laplacian, Tabulated, load_tabulated_csv
 
 import oracles
 
@@ -71,14 +64,38 @@ class TestVariance:
 
 
 class TestErfcTail:
+    """The Gaussian's two-sided tail mass (an erfc) and its inverse, tail_span."""
+
+    MASSES = np.geomspace(1e-300, 0.9, 200)
+
     def test_anchors(self):
-        assert erfc_tail(0.0) == 0.5
-        assert erfc_tail(40.0) == pytest.approx(0.0, abs=1e-300)
-        assert erfc_tail(0.1) == pytest.approx(0.460172, abs=1e-6)
+        g = Gaussian(1.0)
+        assert g.tail_mass(0.0) == 1.0
+        assert g.tail_mass(-3.0) == 1.0
+        assert g.tail_mass(40.0) == pytest.approx(0.0, abs=1e-300)
+        assert 0.5 * g.tail_mass(0.1) == pytest.approx(0.460172, abs=1e-6)
 
     @pytest.mark.parametrize("x", [-2.0, -0.3, 0.1, 1.0, 2.5])
     def test_against_series(self, x):
-        assert erfc_tail(x) == pytest.approx(oracles.normal_upper_tail_series(x), abs=1e-12)
+        # P(Z > x) is half the two-sided tail for x >= 0 and its complement below 0
+        half = 0.5 * Gaussian(1.0).tail_mass(abs(x))
+        upper = half if x >= 0.0 else 1.0 - half
+        assert upper == pytest.approx(oracles.normal_upper_tail_series(x), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma2", [0.3, 1.0, 4.0])
+    def test_span_round_trip(self, sigma2):
+        # d log P(|X| > t) / d log t is about -(t / sigma)^2, which scales the round-off
+        g = Gaussian(sigma2)
+        for m in self.MASSES:
+            t = g.tail_span(m)
+            assert g.tail_mass(t) == pytest.approx(m, rel=2e-15 * (1.0 + t * t / sigma2))
+
+    @pytest.mark.parametrize("sigma2", [0.3, 1.0, 4.0])
+    def test_span_matches_erfcinv(self, sigma2):
+        g = Gaussian(sigma2)
+        want = g.sigma * math.sqrt(2.0) * special.erfcinv(self.MASSES)
+        got = np.array([g.tail_span(m) for m in self.MASSES])
+        assert np.max(np.abs(got - want) / want) <= 2e-15
 
 
 class TestDMax:

@@ -1,4 +1,4 @@
-"""Which CLI paths load scipy: none of the Laplacian and tabulated ones.
+"""Which CLI paths load scipy: only those that compute a Gaussian R_U.
 
 Each case runs in a fresh interpreter, since the suite itself imports scipy.
 """
@@ -50,3 +50,16 @@ def test_laplacian_and_tabulated_paths_load_no_scipy(tmp_path):
     assert lap == [0, []]
     assert tab == [0, []]
     assert gauss[0] == 0 and "scipy.special" in gauss[1]
+    assert not [m for m in gauss[1] if m.startswith("scipy.fft")]
+
+
+def test_gaussian_dmax_and_ba_solves_load_no_scipy():
+    dmax = ["dmax", "--source", "gaussian", "--epsilon", "0.1"]
+    ba = ["ba", "--source", "gaussian", "--epsilon", "0.1", "--grid-count", "2",
+          "--ba-n", "101", "--ba-max-iter", "20"]
+    verify = ["verify", "--alpha", "1.41421356237", "--epsilon", "0.1", "--ba-n", "101",
+              "--ba-max-iter", "50"]
+    results = scipy_after_each(dmax, ba, verify)
+    # verify runs every check and fails its BA checks on this coarse grid
+    assert [code for code, _ in results] == [0, 0, 1]
+    assert [loaded for _, loaded in results] == [[], [], []]
