@@ -60,7 +60,12 @@ class BAProblem:
 
 @dataclass
 class BAResult:
-    """Converged (or last) iterate of one fixed-slope solve."""
+    """Converged (or last) iterate of one fixed-slope solve.
+
+    ``gap`` is Blahut's bound log max_j (K^T (p / K q))_j at the returned q:
+    F(q) - gap <= min F <= F(q) for the objective F of the module docstring.
+    It is reported only; neither the iterates nor the stop rule read it.
+    """
 
     q_mass: np.ndarray
     distortion: float
@@ -69,6 +74,7 @@ class BAResult:
     converged: bool
     objective_violations: int = 0
     max_objective_rise: float = 0.0
+    gap: float = math.nan
 
 
 def auto_span(source: Source) -> float:
@@ -154,6 +160,7 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
 
     distortion = float(np.dot(p[p_idx], kernel_d.apply(q)[p_idx] / z[p_idx]))
     rate = max(problem.s * distortion + objective, 0.0)
+    gap = math.log(float(np.max(kernel.apply(p / z))))
     return BAResult(
         q_mass=q,
         distortion=distortion,
@@ -162,6 +169,7 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
         converged=converged,
         objective_violations=violations,
         max_objective_rise=max_rise,
+        gap=gap,
     )
 
 

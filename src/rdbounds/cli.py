@@ -186,7 +186,8 @@ def _source_and_loss(args) -> tuple[Source, EpsilonLoss]:
 
 
 def _grid_points(args, loss) -> list[tuple[float, float]]:
-    """(s, d) pairs of the sweep, one per grid value."""
+    """(s, d) pairs of the sweep, one per grid value; a value whose pair is
+    not s < 0 < D, both finite, is a configuration error."""
     lo, hi = args.grid_min, args.grid_max
     count = args.grid_count
     if count < 1:
@@ -210,10 +211,15 @@ def _grid_points(args, loss) -> list[tuple[float, float]]:
     for v in values:
         if args.grid_var == "s":
             s = -float(v)
-            points.append((s, distortion_of_slope(s, loss)))
+            d = distortion_of_slope(s, loss)
         else:
             d = float(v)
-            points.append((slope_of_distortion(d, loss), d))
+            s = slope_of_distortion(d, loss)
+        # an extreme grid value can round D to 0 or inf, or s to -0.0
+        if not -math.inf < s < 0.0 < d < math.inf:
+            raise ConfigError(f"grid value {v:g} gives s = {s!r}, D = {d!r}; every grid "
+                              "value must give s < 0 < D, both finite")
+        points.append((s, d))
     return points
 
 
@@ -226,26 +232,25 @@ def _sweep_point(source, loss, selected, s, d, ba_n, args):
     at most one note per bound and the BA point; failures note, never abort."""
     row = {"s": s, "D": d, **dict.fromkeys(RATE_COLUMNS.values()), "notes": {}, "ba": None}
     notes = row["notes"]
-    if "slb" in selected:
-        row["R_slb"] = bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss)
-    if "ru" in selected:
+    cells = {
+        "slb": lambda: bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss),
+        "ru": lambda: bounds_mod.convolution_upper_bound(source, s, loss).raw_rate,
+        "rau": lambda: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss).raw_rate,
+        "rge": lambda: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
+        "trivial": lambda: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
+    }
+    for bound, compute in cells.items():
+        if bound not in selected:
+            continue
+        if bound in ("rau", "trivial") and not isinstance(source, Laplacian):
+            notes[bound] = f"{bound}_unsupported"
+            continue
+        # a closed form can overflow or divide by an underflowed term at an
+        # extreme slope; that cell is noted, and the rest of the row stands
         try:
-            row["R_u"] = bounds_mod.convolution_upper_bound(source, s, loss).raw_rate
+            row[RATE_COLUMNS[bound]] = compute()
         except (ValueError, ArithmeticError) as exc:
-            notes["ru"] = f"ru_error:{exc}"
-    if "rau" in selected:
-        if isinstance(source, Laplacian):
-            pt = bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss)
-            row["R_au"] = pt.raw_rate
-        else:
-            notes["rau"] = "rau_unsupported"
-    if "rge" in selected:
-        row["R_ge"] = bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate
-    if "trivial" in selected:
-        if isinstance(source, Laplacian):
-            row["R_trivial"] = bounds_mod.trivial_upper_bound_laplacian(d, source.alpha)
-        else:
-            notes["trivial"] = "trivial_unsupported"
+            notes[bound] = f"{bound}_error:{exc}"
     if "ba" in selected:
         pt = row["ba"] = ba_mod.ba_curve(source, loss, [s], n=ba_n, tol=args.ba_tol,
                                          max_iter=args.ba_max_iter)[0]

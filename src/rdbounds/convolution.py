@@ -4,9 +4,11 @@ r(y) = (g * p)(y) is the reproduction marginal behind the convolution upper
 bound.  It is closed form for the Laplacian and the Gaussian, and for a
 tabulated source an exact cell sum (see _tabulated_conv_pdf) whose terms are
 all positive, so it keeps its relative accuracy where it is tiny.  The
-entropy of r is one Gauss-Legendre panel sum, with a break at every cell
-edge +- eps for tabulated sources.  The Gaussian density is the one place in
-the package that imports scipy (scipy.special, for erfc and erfcx).
+Gaussian's error functions come from one numpy erfcx, a fixed polynomial
+(see _ERFCX_POWERS), so no part of the package loads scipy.  The entropy of
+r is one Gauss-Legendre panel sum, with a break at every cell edge +- eps
+for tabulated sources; past the Gaussian's end its panels grow with the
+kernel's decay length 1/|s|, so their number does not grow as s -> 0.
 """
 
 from __future__ import annotations
@@ -28,15 +30,24 @@ def _kernel_reach(s: float) -> float:
     return 45.0 / abs(s)
 
 
-def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: float) -> np.ndarray:
-    """Panel edges on [0, upper] for -r log r: source-scale panels, finer near eps."""
+def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: float,
+                   far: float | None = None) -> np.ndarray:
+    """Panel edges on [0, upper] for -r log r: source-scale panels, finer near eps.
+
+    Past ``far`` (default: upper) the source has no mass left that r can
+    resolve, so r is one exponential of rate |s| there, and its panels are
+    30 / |s| long where that is longer than the source-scale ones.
+    """
     eps = loss.epsilon
-    fine_half = min(_kernel_reach(s), eps) if eps > 0.0 else 0.0
-    fine_hi = min(eps + _kernel_reach(s), upper)
     coarse = 2.0 * smooth_scale
-    fine = min(30.0 / abs(s), coarse)
-    breaks = [0.0, max(eps - fine_half, 0.0), min(eps, upper), fine_hi, upper]
-    return panel_edges(breaks, [coarse, fine, fine, coarse])
+    decay = 30.0 / abs(s)
+    if far is None or decay <= coarse:
+        far = upper
+    fine_half = min(_kernel_reach(s), eps) if eps > 0.0 else 0.0
+    fine_hi = min(eps + _kernel_reach(s), far)
+    fine = min(decay, coarse)
+    breaks = [0.0, max(eps - fine_half, 0.0), min(eps, upper), fine_hi, far, upper]
+    return panel_edges(breaks, [coarse, fine, fine, coarse, decay])
 
 
 def _exp_divided_difference(u, s: float, alpha: float):
@@ -74,6 +85,55 @@ def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
     return out if out.ndim else float(out)
 
 
+# log(erfcx(z) / t) with t = 2 / (2 + z) is smooth on t in (0, 1], with the
+# limit log(1 / (2 sqrt(pi))) at t = 0 (z = inf).  These are the powers of
+# u = 2t - 1, lowest first, of its Chebyshev series on u in [-1, 1] cut at
+# degree 24 (fitted at 120 Chebyshev nodes in 50-digit arithmetic); the
+# terms left out are below 3e-16, and erfcx below is within 8e-16 relative
+# of a 40-digit reference on z in [0, 1e12].
+_ERFCX_POWERS = (
+    -0.6717940840566922, 0.6726432239776583, 0.047343306841863525, -0.04689561023132892,
+    -0.009872689364099222, 0.008824938561312326, 0.0017589335074028032, -0.002345812552995894,
+    -0.00014624628742128406, 0.0006736791352568864, -9.373894767667295e-05,
+    -0.00017430412986925938, 7.141810433422301e-05, 3.174693542327236e-05,
+    -3.023784054007137e-05, 1.3989370477611051e-07, 8.662535397475538e-06,
+    -2.963484230959699e-06, -1.409445991433531e-06, 1.283394915356199e-06,
+    -4.146853754663641e-08, -2.895626567435524e-07, 7.745572408758512e-08,
+    2.980513364515168e-08, -1.2776086554968677e-08,
+)
+
+
+_ERFCX_BLOCKS = np.reshape(_ERFCX_POWERS, (5, 5))
+
+
+def _erfcx(z):
+    """Scaled complementary error function e^{z^2} erfc(z) for z >= 0 (elementwise)."""
+    t = 2.0 / (2.0 + z)
+    u = np.reshape(2.0 * t - 1.0, -1)
+    # the polynomial is sum_j u^{5j} Q_j(u) with Q_j of degree 4: one matrix
+    # product with the powers u^0..u^4 gives every Q_j, and Horner in u^5
+    # adds them up, in a third of the array operations of Horner in u
+    powers = np.empty((5, u.size))
+    powers[0] = 1.0
+    powers[1] = u
+    np.multiply(u, u, out=powers[2])
+    np.multiply(powers[2], u, out=powers[3])
+    np.multiply(powers[2], powers[2], out=powers[4])
+    blocks = _ERFCX_BLOCKS @ powers
+    u5 = powers[4] * u
+    poly = blocks[4]
+    for q in blocks[3::-1]:
+        poly *= u5
+        poly += q
+    return t * np.exp(np.reshape(poly, np.shape(t)))
+
+
+def _erfc(x, scaled):
+    """erfc(x) from scaled = erfcx(|x|): e^{-x^2} scaled for x >= 0, and 2 minus that below."""
+    direct = scaled * np.exp(-x * x)
+    return np.where(x < 0.0, 2.0 - direct, direct)
+
+
 def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
     """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails.
 
@@ -81,21 +141,27 @@ def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
     e^{s^2 sigma^2 / 2 + s w} P(Z > (|s| sigma^2 - w) / sigma), an exponentially
     modified Gaussian; the left tail is the same at w = -y - eps.  Where the
     normal argument is positive the product is rewritten with erfcx, which
-    keeps it free of overflow.
+    keeps it free of overflow.  One erfcx call serves the four error-function
+    arguments of each node: the band's two and the tails' two.
     """
-    from scipy import special
-
     eps, b = loss.epsilon, abs(s)
     ay = np.abs(y)
-    root2 = math.sqrt(2.0) * sigma
-    band = 0.5 * (special.erfc((ay - eps) / root2) - special.erfc((ay + eps) / root2))
     w = np.stack([ay - eps, -ay - eps])
     z = (b * sigma * sigma - w) / sigma
-    scaled = 0.5 * special.erfcx(np.maximum(z, 0.0) / math.sqrt(2.0)) * np.exp(
-        -0.5 * (w / sigma) ** 2)
-    direct = np.exp(np.minimum(0.5 * (b * sigma) ** 2 - b * w, 0.0)) * 0.5 * special.erfc(
-        np.minimum(z, 0.0) / math.sqrt(2.0))
-    tails = np.where(z >= 0.0, scaled, direct)
+    # rows: the band edges (ay -+ eps) / (sqrt 2 sigma), then the two tails
+    x = np.concatenate([np.stack([ay - eps, ay + eps]) / (math.sqrt(2.0) * sigma),
+                        z / math.sqrt(2.0)])
+    scaled = _erfcx(np.abs(x))
+    # squares of the far nodes of a slope near 1e-150 overflow to inf, and
+    # the e^-inf = 0 that follows is the value meant
+    with np.errstate(over="ignore"):
+        erfc = _erfc(x[:2], scaled[:2])
+        # e^{s^2 sigma^2 / 2 + s w} erfc(z / sqrt 2) / 2 is emg for z >= 0; for
+        # z < 0 it is the exponential minus emg, since erfc(-a) = 2 - erfc(a)
+        emg = 0.5 * scaled[2:] * np.exp(-0.5 * (w / sigma) ** 2)
+        tails = np.where(z >= 0.0, emg,
+                         np.exp(np.minimum(0.5 * (b * sigma) ** 2 - b * w, 0.0)) - emg)
+    band = 0.5 * (erfc[0] - erfc[1])
     return (band + (tails[0] + tails[1])) / normalizer(s, loss)
 
 
@@ -215,15 +281,17 @@ def conv_entropy(source: Source, s: float, loss: EpsilonLoss) -> float:
         # is longer than 2/|s|, so 8 nodes reach round-off
         edges, n, factor = _tabulated_entropy_edges(source, s, loss), 8, 1.0
     else:
+        far = None
         if isinstance(source, Laplacian):
             upper = _laplacian_upper(s, source.alpha, loss)
             smooth = 15.0 / source.alpha
         elif isinstance(source, Gaussian):
-            upper = source.tail_span(1e-16) + loss.epsilon + _kernel_reach(s)
+            far = source.tail_span(1e-16) + loss.epsilon
+            upper = far + _kernel_reach(s)
             smooth = source.sigma
         else:
             raise _unsupported(source)
         # r is even, so integrate over the half line and double
-        edges, n, factor = _entropy_edges(s, loss, upper, smooth), 64, 2.0
+        edges, n, factor = _entropy_edges(s, loss, upper, smooth, far), 64, 2.0
     yn, wq = panel_nodes(edges, n)
     return factor * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))

@@ -3,7 +3,9 @@
 Each source exposes the four quantities every bound needs: the density, its
 differential entropy h(p) in nats, its variance, and the zero-rate distortion
 d_max(loss) = inf_y E[loss(X - y)].  The Gaussian's tails come from the
-standard library's erfc and normal quantile, so no source loads scipy.
+standard library's erfc and normal quantile, so no source loads scipy.  Its
+d_max is a difference that cancels as eps / sigma grows, so from eps = 2
+sigma on it is written through the continued fraction of the Mills ratio.
 """
 
 from __future__ import annotations
@@ -146,7 +148,19 @@ class Gaussian(Source):
 
     def d_max(self, loss: EpsilonLoss) -> float:
         eps = loss.epsilon
-        return 2.0 * self.sigma2 * self.pdf(eps) - eps * self.tail_mass(eps)
+        t = eps / self.sigma
+        if t < 2.0:
+            return 2.0 * self.sigma2 * self.pdf(eps) - eps * self.tail_mass(eps)
+        # 2 sigma (phi(t) - t Q(t)) cancels as t grows; with the Mills ratio
+        # Q(t) / phi(t) = 1 / (t + E) it is 2 sigma phi(t) E / (t + E), where
+        # E = 1 / (t + 2 / (t + 3 / (t + ...))) is summed from the bottom; the
+        # term count reaches round-off at every t >= 2 (162 terms at t = 2)
+        tail = 0.0
+        for k in range(12 + int(600.0 / (t * t)), 1, -1):
+            tail = k / (t + tail)
+        e = 1.0 / (t + tail)
+        phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        return 2.0 * self.sigma * phi * e / (t + e)
 
     def tail_mass(self, t: float) -> float:
         return math.erfc(max(t, 0.0) / (self.sigma * math.sqrt(2.0)))

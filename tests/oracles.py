@@ -156,6 +156,20 @@ def conv_cells_quad(grid, masses, s, eps, y):
     return total
 
 
+def dense_blahut_gap(x_grid, p_mass, s, eps, q_mass):
+    """Blahut's gap log max_j (K^T (p / K q))_j with the kernel as a dense matrix.
+
+    K[i, j] = exp(s max(h |i - j| - eps, 0)) on the offsets h |i - j| of the
+    uniform grid, h = x[1] - x[0]; both products are plain matrix products.
+    """
+    x = np.asarray(x_grid, dtype=float)
+    idx = np.arange(x.size)
+    offsets = (x[1] - x[0]) * np.abs(idx[:, None] - idx[None, :])
+    kernel = np.exp(s * np.maximum(offsets - eps, 0.0))
+    z = kernel @ np.asarray(q_mass, dtype=float)
+    return math.log(float(np.max(kernel.T @ (np.asarray(p_mass, dtype=float) / z))))
+
+
 def cosine_transform_quad(s, eps, omega):
     """2 * int_0^inf g(x) cos(omega x) dx by oscillatory-weight quadrature."""
     c = 2.0 * (1.0 + abs(s) * eps) / abs(s)

@@ -148,6 +148,14 @@ class TestIterationDiagnostics:
         assert not res.converged
         assert res.iterations == 5
 
+    @pytest.mark.parametrize("max_iter", [5, 50, 500])
+    def test_gap_matches_dense_oracle(self, max_iter):
+        prob = build_problem(LAP, EpsilonLoss(0.1), -5.0, n=201)
+        res = ba_iterate(prob, tol=1e-12, max_iter=max_iter)
+        want = oracles.dense_blahut_gap(prob.x_grid, prob.p_mass, prob.s, 0.1, res.q_mass)
+        assert want > 0.0
+        assert res.gap == pytest.approx(want, rel=1e-3)
+
     def test_grid_doubling_stability(self):
         loss = EpsilonLoss(0.1)
         for src in (LAP, GAU):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rdbounds import (
 )
 from rdbounds import convolution
 from rdbounds.bounds import _lambertw0
+from rdbounds.quadrature import panel_edges
 
 import oracles
 
@@ -210,6 +212,29 @@ class TestLaplacianConvPdf:
             np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
 
+class TestErrorFunctions:
+    # erfcx never underflows; erfc is compared wherever it is a normal double
+    X = np.concatenate([np.linspace(-30.0, 30.0, 60_001), np.geomspace(30.0, 1e12, 2_001)])
+
+    def test_erfcx_matches_scipy(self):
+        z = np.abs(self.X)
+        np.testing.assert_allclose(convolution._erfcx(z), special.erfcx(z), rtol=4e-15, atol=0.0)
+
+    def test_erfc_matches_scipy(self):
+        got = convolution._erfc(self.X, convolution._erfcx(np.abs(self.X)))
+        want = special.erfc(self.X)
+        keep = want > 1e-300
+        np.testing.assert_allclose(got[keep], want[keep], rtol=4e-15, atol=0.0)
+        assert np.all(got[~keep] < 1e-299)
+
+    def test_limits(self):
+        assert convolution._erfcx(np.array([0.0]))[0] == pytest.approx(1.0, rel=4e-15)
+        assert convolution._erfcx(np.array([np.inf]))[0] == 0.0
+        np.testing.assert_array_equal(
+            convolution._erfc(np.array([-np.inf, 0.0, np.inf]), np.array([0.0, 1.0, 0.0])),
+            [2.0, 1.0, 0.0])
+
+
 class TestNumericConvolution:
     @pytest.mark.parametrize("s", [-0.7, -5.0, -50.0, -200.0])
     def test_gaussian_against_quadrature(self, s):
@@ -321,6 +346,43 @@ class TestConvolutionUpperBound:
             want = oracles.ru_quad(GAU.pdf, s, 0.1, support=9.5)
         assert convolution_upper_bound(src, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-8)
+
+    @pytest.mark.parametrize("s", [-1e-3, -1e-2, -0.5])
+    def test_gaussian_weak_slopes_match_nested_quadrature(self, s):
+        # the oracle's source stops at 9.5, a kink its outer integral must see
+        # once the kernel is far wider than the source
+        want = oracles.ru_quad(GAU.pdf, s, 0.1, support=9.5, kinks=(9.5,))
+        assert convolution_upper_bound(GAU, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
+            want, abs=1e-11)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    def test_gaussian_panels_bounded_then_small_allocation(self, monkeypatch, eps):
+        # the panel count is read off the breaks before any edge array exists,
+        # so a route whose panels grow like 1/|s| fails here instead of
+        # allocating gigabytes below
+        counts = []
+
+        def counting_panel_edges(breaks, max_len):
+            breaks = np.asarray(breaks, dtype=float)
+            gaps = np.diff(breaks)
+            lengths = np.broadcast_to(np.asarray(max_len, dtype=float), gaps.shape)
+            counts.append(int(np.ceil(gaps[gaps > 0] / lengths[gaps > 0]).sum()))
+            assert counts[-1] <= 16
+            return panel_edges(breaks, max_len)
+
+        loss = EpsilonLoss(eps)
+        with monkeypatch.context() as patch:
+            patch.setattr(convolution, "panel_edges", counting_panel_edges)
+            for s in -np.geomspace(1e-8, 1.0, 41):
+                convolution_upper_bound(GAU, s, loss)
+        assert len(counts) == 41
+        tracemalloc.start()
+        try:
+            convolution_upper_bound(GAU, -1e-6, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     @pytest.mark.parametrize("src", [TAB, TAB_SHIFTED], ids=["symmetric", "shifted"])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])

@@ -359,6 +359,37 @@ class TestConfigHandling:
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+    @pytest.mark.parametrize("argv, pair", [
+        (["bounds", "--epsilon", "0.1", "--grid-min", "1e300"], "D = 0.0"),
+        (["bounds", "--grid-min", "1e-320"], "D = inf"),
+        (["bounds", "--epsilon", "0.1", "--grid-var", "d", "--grid-min", "1e300"], "s = -0.0"),
+    ])
+    def test_grid_value_outside_the_domain_is_config_error(self, capsys, argv, pair):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid value") and err.count("\n") == 1 and pair in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--grid-min", "1e300", "--bounds", "slb,ru,rau,rge,trivial"],
+        ["bounds", "--grid-var", "d", "--grid-min", "1e300", "--bounds", "slb,rau,rge,trivial"],
+        ["bounds", "--source", "gaussian", "--grid-var", "d", "--grid-min", "1e300",
+         "--bounds", "slb,ru,rge"],
+    ])
+    def test_extreme_finite_slopes_note_failed_cells(self, capsys, argv):
+        # at eps = 0 these grids stay in the domain, yet a closed form fails
+        # at some of their slopes; each such cell is noted, none aborts the sweep
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        selected = argv[-1].split(",")
+        assert any("_error:" in row[-1] for row in rows)
+        for row in rows:
+            cells = dict(zip(header, row))
+            for bound in selected:
+                column = header[2 + ["slb", "ru", "rau", "rge", "trivial"].index(bound)]
+                assert cells[column] != "" or f"{bound}_error:" in cells["flags"]
+
+
 class TestDmax:
     def test_laplacian_chain(self, capsys):
         code, out, _ = run_cli(

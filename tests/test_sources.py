@@ -144,6 +144,18 @@ class TestDMax:
         ).fun
         assert got == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("sigma2", [1.0, 4.0])
+    @pytest.mark.parametrize("t", [3.0, 10.0, 20.0, 37.0])
+    def test_gaussian_far_band_keeps_relative_accuracy(self, sigma2, t):
+        # d_max = 2 sigma phi(t) int_0^inf u e^{-t u - u^2 / 2} du at t = eps / sigma;
+        # the integral is taken with phi(t) factored out, so nothing underflows
+        src = Gaussian(sigma2)
+        want, _ = integrate.quad(lambda u: u * math.exp(-t * u - 0.5 * u * u), 0.0, 60.0 / t,
+                                 epsabs=0.0, epsrel=2e-14, limit=200)
+        phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        got = src.d_max(EpsilonLoss(t * src.sigma)) / (2.0 * src.sigma * phi)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("eps,want", [(0.0, 0.125), (0.05, 0.08), (0.1, 0.045)])
     def test_single_cell_is_the_uniform_density(self, eps, want):
         # all mass on the middle cell: X is uniform on [-0.25, 0.25]
