@@ -175,15 +175,20 @@ def laplacian_upper_bound_terms(
     s = _check_slope(s)
     alpha = float(alpha)
     eps = loss.epsilon
-    e2 = math.exp(-2.0 * alpha * eps)
-    c1 = s / (alpha - s)
-    c_s = 2.0 + c1 * (1.0 + e2)
+    # s < 0 and expm1 <= 0, so every term below is positive: 1 + c1 e2 and
+    # c_s = 2 + c1 (1 + e2) with c1 = s / (alpha - s) -> -1 would cancel
+    # as |s| grows, and c_s would round to 0 past |s| ~ 1e16
+    band = s * math.expm1(-2.0 * alpha * eps)
+    c_s = (2.0 * alpha + band) / (alpha - s)
+    one_plus_c1_e2 = (alpha + band) / (alpha - s)
     # the (alpha + s) factor of the two-exponential tail cancels in both
-    # integrals, which leaves them finite and smooth through |s| = alpha
-    quad = s * s - 2.0 * alpha * s + 2.0 * alpha**2
-    b_int = c1 * e2 / alpha + quad / (alpha * s * (s - alpha))
+    # integrals, which leaves them finite and smooth through |s| = alpha;
+    # (s^2 - 2 alpha s + 2 alpha^2) / (s (s - alpha)) is split into terms
+    # that cannot overflow to inf / inf at large |s|
+    b_int = one_plus_c1_e2 / alpha - 1.0 / s + alpha / (s * (s - alpha))
     m1 = (1.0 + alpha * eps) / alpha**2
-    e_int = c1 * m1 * e2 + (2.0 * alpha - m1 * s * quad) / ((alpha - s) * s * s)
+    e_int = (m1 * (one_plus_c1_e2 - alpha / s - alpha**2 / ((alpha - s) * s))
+             + 2.0 * alpha / ((alpha - s) * s) / s)
     return c_s, b_int, e_int
 
 

@@ -10,7 +10,7 @@ verify   cross-module consistency checks; exit 0 iff all pass
 
 ``_sweep_point`` is the one place a command computes a bound cell: it returns
 a row of raw (unclamped) rates, at most one note per bound and the BA point.
-``bounds``/``ba`` sweep it over the grid (on ``--threads`` workers) and
+``bounds``/``ba`` sweep it over the grid (one task per ``--threads`` worker) and
 ``verify`` reads its checks off such rows; ``_emit`` is the one place a cell
 is formatted.
 
@@ -25,6 +25,7 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,8 +62,9 @@ def _add_common(parser):
     parser.add_argument("--units", choices=["nats", "bits"], default="nats")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads of bounds/ba sweeps (default 0: machine parallelism)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads of bounds/ba sweeps, one share of the grid "
+                             "each (default 1; 0: machine parallelism)")
 
 
 def _add_grid(parser):
@@ -80,7 +82,9 @@ def _add_ba(parser):
     parser.add_argument("--ba-max-iter", type=int, default=200_000)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rdbounds parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rdbounds",
         description="Rate-distortion bounds for the epsilon-insensitive distortion measure",
@@ -307,9 +311,18 @@ def cmd_bounds(args, selected=None) -> int:
     if not selected:
         raise ConfigError("at least one bound must be selected")
     points = _grid_points(args, loss)
-    with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
-        rows = list(pool.map(lambda sd: _sweep_point(source, loss, selected, *sd, args.ba_n, args),
-                             points))
+    workers = min(args.threads or os.cpu_count() or 1, len(points))
+
+    def sweep(chunk):
+        return [_sweep_point(source, loss, selected, s, d, args.ba_n, args) for s, d in chunk]
+
+    # one task per worker, over every workers-th point; the rows go back into
+    # grid order before the stable sort, so the output cannot depend on --threads
+    rows = [None] * len(points)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(sweep, (points[i::workers] for i in range(workers)))
+        for i, chunk in enumerate(chunks):
+            rows[i::workers] = chunk
     rows.sort(key=lambda row: row["D"])
     _write(_emit(rows, args), args)
     return 0

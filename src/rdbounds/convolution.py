@@ -7,8 +7,9 @@ all positive, so it keeps its relative accuracy where it is tiny.  The
 Gaussian's error functions come from one numpy erfcx, a fixed polynomial
 (see _ERFCX_POWERS), so no part of the package loads scipy.  The entropy of
 r is one Gauss-Legendre panel sum, with a break at every cell edge +- eps
-for tabulated sources; past the Gaussian's end its panels grow with the
-kernel's decay length 1/|s|, so their number does not grow as s -> 0.
+for tabulated sources; past the Gaussian's end, and past the point where a
+Laplacian's r is one exponential of rate |s| < alpha, its panels grow with
+the kernel's decay length 1/|s|, so their number does not grow as s -> 0.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: floa
                    far: float | None = None) -> np.ndarray:
     """Panel edges on [0, upper] for -r log r: source-scale panels, finer near eps.
 
-    Past ``far`` (default: upper) the source has no mass left that r can
-    resolve, so r is one exponential of rate |s| there, and its panels are
-    30 / |s| long where that is longer than the source-scale ones.
+    Past ``far`` (default and cap: upper) r is one exponential of rate |s|,
+    so its panels are 30 / |s| long where that is longer than the
+    source-scale ones.
     """
     eps = loss.epsilon
     coarse = 2.0 * smooth_scale
     decay = 30.0 / abs(s)
-    if far is None or decay <= coarse:
-        far = upper
+    far = upper if far is None or decay <= coarse else min(far, upper)
     fine_half = min(_kernel_reach(s), eps) if eps > 0.0 else 0.0
     fine_hi = min(eps + _kernel_reach(s), far)
     fine = min(decay, coarse)
@@ -255,6 +255,22 @@ def _laplacian_upper(s: float, alpha: float, loss: EpsilonLoss) -> float:
     return loss.epsilon + (40.0 + math.log(coef) + max(0.0, -math.log(2.0 * c))) / rate
 
 
+def _laplacian_far(s: float, alpha: float, loss: EpsilonLoss) -> float | None:
+    """For |s| < alpha, the |y| past which r is one exponential of rate |s|.
+
+    There the e^{-alpha u} terms of the outer branch of laplacian_conv_pdf
+    are below e^-40 of its e^{s u} term; at |s| >= alpha r decays at rate
+    alpha, and None keeps the source-scale panels out to the upper limit.
+    """
+    if abs(s) >= alpha:
+        return None
+    grow = 2.0 * alpha**2 / ((alpha - s) * (alpha + s))  # e^{s u} coefficient
+    # the e^{-alpha u} coefficients: the c1 term (|c1| < 1), the middle one
+    # and the divided difference's own
+    fade = 1.0 + (2.0 * alpha - s) / (alpha - s) + grow
+    return loss.epsilon + (40.0 + math.log(fade / grow)) / (alpha + s)
+
+
 def _neg_r_log_r(r):
     r = np.maximum(r, 0.0)
     return -np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
@@ -284,6 +300,7 @@ def conv_entropy(source: Source, s: float, loss: EpsilonLoss) -> float:
         far = None
         if isinstance(source, Laplacian):
             upper = _laplacian_upper(s, source.alpha, loss)
+            far = _laplacian_far(s, source.alpha, loss)
             smooth = 15.0 / source.alpha
         elif isinstance(source, Gaussian):
             far = source.tail_span(1e-16) + loss.epsilon

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -355,8 +356,8 @@ class TestConvolutionUpperBound:
         assert convolution_upper_bound(GAU, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-11)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
-    def test_gaussian_panels_bounded_then_small_allocation(self, monkeypatch, eps):
+    @staticmethod
+    def panels_bounded_then_small_allocation(monkeypatch, source, eps, slopes, max_panels):
         # the panel count is read off the breaks before any edge array exists,
         # so a route whose panels grow like 1/|s| fails here instead of
         # allocating gigabytes below
@@ -367,22 +368,39 @@ class TestConvolutionUpperBound:
             gaps = np.diff(breaks)
             lengths = np.broadcast_to(np.asarray(max_len, dtype=float), gaps.shape)
             counts.append(int(np.ceil(gaps[gaps > 0] / lengths[gaps > 0]).sum()))
-            assert counts[-1] <= 16
+            assert counts[-1] <= max_panels
             return panel_edges(breaks, max_len)
 
         loss = EpsilonLoss(eps)
         with monkeypatch.context() as patch:
             patch.setattr(convolution, "panel_edges", counting_panel_edges)
-            for s in -np.geomspace(1e-8, 1.0, 41):
-                convolution_upper_bound(GAU, s, loss)
-        assert len(counts) == 41
+            for s in slopes:
+                convolution_upper_bound(source, s, loss)
+        assert len(counts) == len(slopes)
         tracemalloc.start()
         try:
-            convolution_upper_bound(GAU, -1e-6, loss)
+            convolution_upper_bound(source, -1e-6, loss)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    def test_gaussian_panels_bounded_then_small_allocation(self, monkeypatch, eps):
+        self.panels_bounded_then_small_allocation(
+            monkeypatch, GAU, eps, -np.geomspace(1e-8, 1.0, 41), 16)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    def test_laplacian_panels_bounded_then_small_allocation(self, monkeypatch, eps):
+        self.panels_bounded_then_small_allocation(
+            monkeypatch, LAP, eps, (-0.5, -1e-2, -1e-6, -1e-300), 20)
+
+    @pytest.mark.parametrize("s", [-0.5, -1e-2])
+    def test_laplacian_weak_slopes_match_nested_quadrature(self, s):
+        # past the far break r is one exponential of rate |s| on 30/|s| panels
+        want = oracles.ru_quad(LAP.pdf, s, 0.1, support=40.0, kinks=(0.0,))
+        assert convolution_upper_bound(LAP, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
+            want, abs=1e-10)
 
     @pytest.mark.parametrize("src", [TAB, TAB_SHIFTED], ids=["symmetric", "shifted"])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
@@ -474,6 +492,33 @@ class TestAnalyticUpperBound:
         rau = analytic_upper_bound_laplacian(s, ALPHA, loss)
         slb = shannon_lower_bound(rau.d, H_LAP, loss)
         assert 0.0 < rau.raw_rate - slb <= 0.6 * (ALPHA * eps) ** 2
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    def test_terms_match_exact_arithmetic(self, eps):
+        # the textbook form, c_s = 2 + c1 (1 + e2) with c1 = s / (alpha - s),
+        # in exact arithmetic on the same floats s, alpha and e2; in floating
+        # point it cancels as c1 -> -1 and overflows to inf / inf past ~1e154
+        a, e2 = Fraction(ALPHA), Fraction(math.exp(-2.0 * ALPHA * eps))
+        m1 = (1 + a * Fraction(eps)) / (a * a)
+        for s in -np.geomspace(1e-2, 1e300, 61):
+            x = Fraction(float(s))
+            c1 = x / (a - x)
+            quad = x * x - 2 * a * x + 2 * a * a
+            want = (2 + c1 * (1 + e2),
+                    c1 * e2 / a + quad / (a * x * (x - a)),
+                    c1 * m1 * e2 + (2 * a - m1 * x * quad) / ((a - x) * x * x))
+            got = laplacian_upper_bound_terms(float(s), ALPHA, EpsilonLoss(eps))
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= Fraction(4e-16) * abs(w)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_finite_at_steep_slopes(self, eps):
+        loss = EpsilonLoss(eps)
+        for s in (-40.0, -1e16, -1e154, -1e300):
+            pt = analytic_upper_bound_laplacian(s, ALPHA, loss)
+            assert math.isfinite(pt.raw_rate)
+            if pt.d > 0.0:
+                assert pt.raw_rate >= shannon_lower_bound(pt.d, H_LAP, loss) - 1e-12
 
     def test_continuous_through_matched_slope(self):
         pts = [analytic_upper_bound_laplacian(s, ALPHA, EpsilonLoss(0.1)) for s in MATCHED]

@@ -1,18 +1,23 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdbounds
 from rdbounds import bounds
 from rdbounds.cli import COLUMNS, build_parser, main
 from rdbounds.sources import Gaussian, Laplacian
 from rdbounds.tilted import EpsilonLoss, distortion_of_slope
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(rdbounds.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -71,9 +76,32 @@ class TestBoundsSweep:
                 assert float(brow[idx]) == pytest.approx(float(nrow[idx]) / ln2, rel=1e-10)
 
     def test_deterministic_across_threads(self, capsys):
-        _, first, _ = run_cli(capsys, *BOUNDS_ARGS, "--threads", "1")
-        _, second, _ = run_cli(capsys, *BOUNDS_ARGS, "--threads", "4")
-        assert first == second
+        # 7 points make uneven shares for 2 and 3 workers, and fewer points
+        # than the 8 workers asked for
+        for fmt in ("csv", "json"):
+            runs = [run_cli(capsys, *BOUNDS_ARGS, "--grid-count", "7", "--format", fmt,
+                            "--threads", n) for n in ("1", "2", "3", "8")]
+            assert runs[0][0] == 0 and runs[0][1].count("\n") >= 8
+            assert all(run == runs[0] for run in runs[1:])
+        single = [run_cli(capsys, *BOUNDS_ARGS, "--grid-count", "1", "--threads", n)
+                  for n in ("1", "4")]
+        assert single[0] == single[1] and single[0][0] == 0
+        assert len(parse_csv(single[0][1])[1]) == 1
+
+    def test_memoised_parser_keeps_no_state(self, capsys, tmp_path):
+        # one in-process call after another prints what a fresh process prints
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epsilon=0.3\ngrid-count=3\n", encoding="utf-8")
+        parser = build_parser()
+        calls = [["bounds", "--config", str(cfg), "--bounds", "slb"], ["dmax"]]
+        got = [run_cli(capsys, *argv) for argv in calls]
+        assert build_parser() is parser
+        for argv, (code, out, err) in zip(calls, got):
+            fresh = subprocess.run([sys.executable, "-m", "rdbounds.cli", *argv],
+                                   env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                                   text=True, timeout=120, check=False)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert "d_max_eps  = 1\n" in got[1][1]  # dmax ran at eps = 0, not the file's 0.3
 
     def test_rau_on_gaussian_is_empty_with_flag(self, capsys):
         code, out, _ = run_cli(
@@ -370,7 +398,7 @@ class TestConfigHandling:
         assert err.startswith("error: grid value") and err.count("\n") == 1 and pair in err
 
     @pytest.mark.parametrize("argv", [
-        ["bounds", "--grid-min", "1e300", "--bounds", "slb,ru,rau,rge,trivial"],
+        ["bounds", "--grid-var", "d", "--grid-max", "1e300", "--bounds", "slb,ru,rau,rge,trivial"],
         ["bounds", "--grid-var", "d", "--grid-min", "1e300", "--bounds", "slb,rau,rge,trivial"],
         ["bounds", "--source", "gaussian", "--grid-var", "d", "--grid-min", "1e300",
          "--bounds", "slb,ru,rge"],
