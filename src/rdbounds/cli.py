@@ -252,9 +252,14 @@ def _sweep_point(source, loss, selected, s, d, ba_n, args):
         # a closed form can overflow or divide by an underflowed term at an
         # extreme slope; that cell is noted, and the rest of the row stands
         try:
-            row[RATE_COLUMNS[bound]] = compute()
+            raw = compute()
         except (ValueError, ArithmeticError) as exc:
             notes[bound] = f"{bound}_error:{exc}"
+            continue
+        if math.isfinite(raw):
+            row[RATE_COLUMNS[bound]] = raw
+        else:
+            notes[bound] = f"{bound}_error:non-finite"
     if "ba" in selected:
         pt = row["ba"] = ba_mod.ba_curve(source, loss, [s], n=ba_n, tol=args.ba_tol,
                                          max_iter=args.ba_max_iter)[0]

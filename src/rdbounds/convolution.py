@@ -1,15 +1,19 @@
 """Convolution of a source with the tilted kernel, and its entropy.
 
 r(y) = (g * p)(y) is the reproduction marginal behind the convolution upper
-bound.  It is closed form for the Laplacian and the Gaussian, and for a
-tabulated source an exact cell sum (see _tabulated_conv_pdf) whose terms are
-all positive, so it keeps its relative accuracy where it is tiny.  The
-Gaussian's error functions come from one numpy erfcx, a fixed polynomial
-(see _ERFCX_POWERS), so no part of the package loads scipy.  The entropy of
-r is one Gauss-Legendre panel sum, with a break at every cell edge +- eps
-for tabulated sources; past the Gaussian's end, and past the point where a
-Laplacian's r is one exponential of rate |s| < alpha, its panels grow with
-the kernel's decay length 1/|s|, so their number does not grow as s -> 0.
+bound.  For every source it has one shape: the source's mass in the band
+[y - eps, y + eps] plus two exponential tails, the kernel's e^{-|s| t}
+reaching past either end of the band, all over C(s).  That is closed form
+for the Laplacian and the Gaussian, and for a tabulated source an exact
+cell sum (see _tabulated_conv_pdf).  The Laplacian and tabulated ones are
+sums of positive terms, so they keep their relative accuracy where r is
+tiny.  The Gaussian's error functions come from one numpy erfcx, a fixed
+polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.  The
+entropy of r is one Gauss-Legendre panel sum, with a break at every cell
+edge +- eps for tabulated sources; past the Gaussian's end, and past the
+point where a Laplacian's r is one exponential of rate |s| < alpha, its
+panels grow with the kernel's decay length 1/|s|, so their number does not
+grow as s -> 0.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .quadrature import panel_edges, panel_nodes
 from .sources import Gaussian, Laplacian, Source, Tabulated
-from .tilted import EpsilonLoss, _check_slope, normalizer, tilted_cdf
+from .tilted import EpsilonLoss, _check_slope, normalizer
 
 __all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy"]
 
@@ -63,26 +67,27 @@ def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
     """Closed form of (tilted kernel * Laplacian density)(y).
 
     Piecewise in |y|: a flat-band expression inside [-eps, eps] and a sum of
-    exponentials outside; symmetric and continuous.  The outer branch writes
-    its removable 0/0 at |s| = alpha as a divided difference of exponentials,
-    so the density is finite and continuous in s there too.
+    exponentials outside; symmetric and continuous.  Both branches are sums
+    of positive terms, so the density keeps its relative accuracy at any
+    slope.  The outer branch writes its removable 0/0 at |s| = alpha as a
+    divided difference of exponentials, so the density is finite and
+    continuous in s there too.
     """
     s = _check_slope(s)
     alpha = float(alpha)
     eps = loss.epsilon
-    c1 = s / (alpha - s)
-    ay = np.abs(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    ay = np.abs(y).reshape(-1)
     u = np.maximum(ay - eps, 0.0)
-    far = c1 * np.exp(-alpha * (ay + eps))
-    # exponent clipped at 0: out-of-branch lanes of np.where stay finite
-    inner = far + c1 * np.exp(np.minimum(alpha * (ay - eps), 0.0)) + 2.0
-    outer = (
-        far
-        + (2.0 * alpha - s) / (alpha - s) * np.exp(-alpha * u)
-        + 2.0 * alpha**2 / (alpha - s) * _exp_divided_difference(u, s, alpha)
-    )
-    out = np.where(ay < eps, inner, outer) / (2.0 * normalizer(s, loss))
-    return out if out.ndim else float(out)
+    ratio = alpha / (alpha - s)
+    out = ((2.0 * alpha + s * math.expm1(-2.0 * alpha * eps)) / (alpha - s) * np.exp(-alpha * u)
+           + 2.0 * alpha * ratio * _exp_divided_difference(u, s, alpha))
+    # inside the band 2 + c1 (E1 + E2) with c1 = ratio - 1, taken on its lanes only
+    band = ay < eps
+    e1, e2 = -alpha * (ay[band] + eps), alpha * (ay[band] - eps)
+    out[band] = ratio * (np.exp(e1) + np.exp(e2)) - np.expm1(e1) - np.expm1(e2)
+    out /= 2.0 * normalizer(s, loss)
+    return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
 # log(erfcx(z) / t) with t = 2 / (2 + z) is smooth on t in (0, 1], with the
@@ -171,56 +176,54 @@ def _tail_sums(dens: np.ndarray, decay: float) -> np.ndarray:
                        float, dens.size + 1)
 
 
-def _window_sums(masses: np.ndarray, width: int) -> np.ndarray:
-    """W[i] = masses[i] + ... + masses[i + width - 1], summed in blocks of 2^n cells."""
-    out, block, size, start = np.zeros(masses.size - width + 1), masses, 1, 0
-    while width:
-        if width & 1:
-            out, start = out + block[start:start + out.size], start + size
-        block, size, width = block[:-size] + block[size:], 2 * size, width >> 1
-    return out
+def _block_sums(masses: np.ndarray, levels: int) -> list[np.ndarray]:
+    """blocks[n][i] = masses[i] + ... + masses[i + 2^n - 1], for n < levels."""
+    blocks = [masses]
+    for n in range(levels - 1):
+        blocks.append(blocks[-1][:-(1 << n)] + blocks[-1][1 << n:])
+    return blocks
 
 
 def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
-    """Exact cellwise convolution in O(len(y) + cells log cells), elementwise in y.
+    """Exact cellwise convolution r = [M + L + R] / C(s), elementwise in y.
 
-    Cells wholly at or beyond y -+ eps see one exponential tail of the kernel
-    and add up to two running geometric sums, cells wholly inside the band add
-    m_c / C(s) each, and only the cells holding y -+ eps take CDF differences.
+    M is the mass in the band [y - eps, y + eps].  L, the integral over x < y - eps
+    of p(x) e^{-|s| (y - eps - x)}, is carry_k e^{-|s| d} - dens_k expm1(-|s| d) / |s|
+    for y - eps in cell k at offset d, with carry_k = L at edge k; R is L of the
+    mirrored source.  All are positive sums: r keeps its relative accuracy where tiny.
     """
     h, cell_edges = source.spacing, source.edges
     dens = source.masses / h
     masses = dens * np.diff(cell_edges)  # each cell's mass between its own edges
-    cells, eps, b, c = dens.size, loss.epsilon, abs(s), normalizer(s, loss)
-    decay = math.exp(-b * h)
+    eps, b = loss.epsilon, abs(s)
+    decay, factor = math.exp(-b * h), -math.expm1(-b * h) / b
     # padded tables, so that indices 0..cells + 1 need no clipping: edges[n] is
     # edge n - 1 (clamped), pad[n] the density of cell n - 1 (0 off the ends),
-    # left[n] the tail sum over the cells before cell n - 1, right[n] from n on
+    # left[n] and right[n] the carries at the lower and upper edge of cell n - 1
     edges = np.concatenate([cell_edges[:1], cell_edges, cell_edges[-1:]])
     pad = np.concatenate([[0.0], dens, [0.0]])
-    left, right = _tail_sums(pad[:-1], decay), _tail_sums(pad[:0:-1], decay)[::-1]
-    # cell lo - 1 holds y - eps in [e, e') and cell hi - 1 holds y + eps in
-    # (e, e']; cells [0, lo - 1) end at or left of y - eps and cells [hi, cells)
-    # start at or right of y + eps, so at eps = 0 an edge node counts once
-    lo = np.searchsorted(cell_edges, y - eps, side="right")
-    hi = np.searchsorted(cell_edges, y + eps, side="left")
-    out = -math.expm1(-b * h) / (b * c) * (
-        np.exp(-b * np.maximum(y - eps - edges[lo], 0.0)) * left[lo]
-        + np.exp(-b * np.maximum(edges[1:][hi] - y - eps, 0.0)) * right[hi])
-    # one cell holding both ends of the band is counted once
-    for n, keep in ((lo, lo <= hi), (hi, hi > lo)):
-        out += (tilted_cdf(y - edges[n], s, loss)
-                - tilted_cdf(y - edges[1:][n], s, loss)) * np.where(keep, pad[n], 0.0)
-    # the cells [lo, hi - 1) between them: a prefix or a suffix where the band
-    # overhangs an end of the source, else a window of a width 2 eps / h allows
-    prefix = np.cumsum(np.append([0.0, 0.0], masses))
-    suffix = np.cumsum(np.append(masses, [0.0, 0.0])[::-1])[::-1]
-    inside = np.where(lo == 0, prefix[hi], np.where(hi > cells, suffix[lo], 0.0))
-    width = hi - lo - 1
-    width[(lo == 0) | (hi > cells)] = 0
-    for w in np.unique(width[width > 0]):
-        inside[width == w] = _window_sums(masses, int(w))[lo[width == w]]
-    return out + inside / c
+    left = _tail_sums(pad[:-1], decay) * factor
+    right = _tail_sums(pad[:0:-1], decay)[::-1] * factor
+    # cell p - 1 holds y - eps in [e, e'), cell q - 1 holds y + eps in (e, e'] (at eps = 0
+    # a node on an edge has q = p - 1: no band); offsets are (edge - y) -+ eps, exact if small
+    p = np.searchsorted(cell_edges, y - eps, side="right")
+    q = np.searchsorted(cell_edges, y + eps, side="left")
+    # M: the covered parts of cells p - 1 and q - 1 (one cell is counted once)
+    out = pad[p] * (np.minimum(edges[p + 1] - y, eps) + eps)
+    out += np.where(q > p, pad[q] * (y - edges[q] + eps), 0.0)
+    # L and R: the carry at the end cell's outer edge, decayed across the cell, plus its own share
+    for n, carry, d in ((p, left, y - edges[p] - eps), (q, right, edges[q + 1] - y - eps)):
+        x = np.maximum(d, 0.0, out=d)
+        x *= -b
+        out += carry[n] * np.exp(x)
+        out -= pad[n] * (np.expm1(x) / b)
+    # and M's whole cells p .. q - 2: per set bit n of their count, 2^n cells from p on
+    width = np.maximum(q - p - 1, 0)
+    for n, block in enumerate(_block_sums(masses, int(width.max(initial=0)).bit_length())):
+        bit = width & (1 << n)
+        out += np.where(bit, block.take(p, mode="clip"), 0.0)
+        p += bit
+    return out / normalizer(s, loss)
 
 
 def _unsupported(source: Source) -> TypeError:

@@ -298,26 +298,46 @@ class TestNumericConvolution:
             want = oracles.conv_cells_quad(src.grid, src.masses, s, eps, y)
             assert value == pytest.approx(want, rel=1e-10, abs=0.0)
 
-    def test_tabulated_kernel_cdf_points_per_node(self, monkeypatch):
-        # a band of about 600 cells still takes the kernel CDF only at the
-        # edges of the two cells that hold its ends
+    @pytest.mark.parametrize("s", [-0.5, -5.0, -50.0])
+    def test_tabulated_empty_band_on_cell_edges(self, s):
+        # at eps = 0 a node on a cell edge has an empty band, so r there is the
+        # two tails alone; in the gap and the light band it is far below the
+        # density's scale
+        grid = 0.1 * np.arange(-30, 31)
+        light = Tabulated(grid, np.where(np.abs(grid) < 2.45, 1e-30, 1.0 / 12.0))
+        for src in (TAB, TAB_GAP, light):
+            got = conv_pdf(src, s, EpsilonLoss(0.0), src.edges)
+            for y, value in zip(src.edges, got):
+                want = oracles.conv_cells_quad(src.grid, src.masses, s, 0.0, y)
+                assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_tabulated_block_sum_lookups_per_node(self, monkeypatch):
+        # a band of about 600 whole cells is summed from power-of-two blocks,
+        # at most ceil(log2 600) + 1 lookups per node
         src = Tabulated(np.linspace(-6.0, 6.0, 1201), np.full(1201, 1.0 / 1201))
-        nodes, points = [], []
-        real_pdf, real_cdf = convolution.conv_pdf, convolution.tilted_cdf
+        eps = 3.0
+        nodes, lookups = [], []
+        real_pdf, real_blocks = convolution.conv_pdf, convolution._block_sums
+
+        class CountedBlock:
+            def __init__(self, block):
+                self.block = block
+
+            def take(self, index, mode):
+                lookups.append(np.size(index))
+                return self.block.take(index, mode=mode)
 
         def pdf(source, s, loss, y):
             nodes.append(np.size(y))
             return real_pdf(source, s, loss, y)
 
-        def cdf(t, s, loss):
-            points.append(np.size(t))
-            return real_cdf(t, s, loss)
-
         monkeypatch.setattr(convolution, "conv_pdf", pdf)
-        monkeypatch.setattr(convolution, "tilted_cdf", cdf)
-        convolution.conv_entropy(src, -5.0, EpsilonLoss(3.0))
-        assert sum(nodes) > 0
-        assert sum(points) <= 4 * sum(nodes)
+        monkeypatch.setattr(convolution, "_block_sums", lambda masses, levels: [
+            CountedBlock(block) for block in real_blocks(masses, levels)])
+        convolution.conv_entropy(src, -5.0, EpsilonLoss(eps))
+        assert sum(nodes) > 0 and sum(lookups) > 0
+        per_node = math.ceil(math.log2(2.0 * eps / src.spacing)) + 1
+        assert sum(lookups) <= per_node * sum(nodes)
 
 
 class TestConvolutionUpperBound:
@@ -327,6 +347,15 @@ class TestConvolutionUpperBound:
         for s in (-0.5, -2.0, -20.0, -150.0):
             pt = convolution_upper_bound(src, s, loss)
             assert pt.raw_rate >= shannon_lower_bound(pt.d, h_p, loss) - 1e-10
+
+    def test_laplacian_meets_lower_bound_at_steep_slopes(self):
+        # at eps = 0, R_U - SLB shrinks like 1 / s^2: past |s| = 1e8 the two
+        # agree to the round-off of entropies of 18 to 690 nats
+        src, loss = Laplacian(1.0), EpsilonLoss(0.0)
+        for s in (-1e8, -1e12, -1e16, -1e18, -1e300):
+            pt = convolution_upper_bound(src, s, loss)
+            slb = shannon_lower_bound(pt.d, src.differential_entropy(), loss)
+            assert pt.raw_rate == pytest.approx(slb, abs=1e-12)
 
     def test_weak_slope_limit(self):
         # s -> 0-: the bound's rate collapses while its distortion exceeds d_max

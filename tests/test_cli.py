@@ -402,10 +402,13 @@ class TestConfigHandling:
         ["bounds", "--grid-var", "d", "--grid-min", "1e300", "--bounds", "slb,rau,rge,trivial"],
         ["bounds", "--source", "gaussian", "--grid-var", "d", "--grid-min", "1e300",
          "--bounds", "slb,ru,rge"],
+        # R_ge overflows to inf from s = -4.6e-111 on, R_au at s = -1.8e-158
+        ["bounds", "--grid-var", "d", "--grid-max", "1e300", "--bounds", "rau,rge"],
     ])
     def test_extreme_finite_slopes_note_failed_cells(self, capsys, argv):
         # at eps = 0 these grids stay in the domain, yet a closed form fails
-        # at some of their slopes; each such cell is noted, none aborts the sweep
+        # at some of their slopes; each such cell is noted, none aborts the
+        # sweep, and none prints a non-finite rate
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         header, rows = parse_csv(out)
@@ -413,6 +416,7 @@ class TestConfigHandling:
         assert any("_error:" in row[-1] for row in rows)
         for row in rows:
             cells = dict(zip(header, row))
+            assert not any(cells[column] in ("inf", "nan") for column in header[:-1])
             for bound in selected:
                 column = header[2 + ["slb", "ru", "rau", "rge", "trivial"].index(bound)]
                 assert cells[column] != "" or f"{bound}_error:" in cells["flags"]
