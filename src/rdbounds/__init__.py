@@ -11,14 +11,16 @@ from .bounds import (
     RDPoint,
     analytic_upper_bound_laplacian,
     convolution_upper_bound,
+    convolution_upper_bounds,
     gaussian_entropy_bound,
+    laplacian_dmax_gaps,
     laplacian_upper_bound_terms,
     shannon_lower_bound,
     slb_at_matched_slope,
     slb_zero,
     trivial_upper_bound_laplacian,
 )
-from .convolution import conv_entropy, conv_pdf, laplacian_conv_pdf
+from .convolution import conv_entropies, conv_entropy, conv_pdf, laplacian_conv_pdf
 from .sources import Gaussian, Laplacian, Source, Tabulated, load_tabulated_csv
 from .spectral import (
     first_witness_index,
@@ -55,15 +57,18 @@ __all__ = [
     "ba_curve",
     "ba_iterate",
     "build_problem",
+    "conv_entropies",
     "conv_entropy",
     "conv_pdf",
     "convolution_upper_bound",
+    "convolution_upper_bounds",
     "distortion_of_slope",
     "first_witness_index",
     "gaussian_deconvolution_density",
     "gaussian_entropy_bound",
     "laplace_cf",
     "laplacian_conv_pdf",
+    "laplacian_dmax_gaps",
     "laplacian_upper_bound_terms",
     "laplacian_witness",
     "load_tabulated_csv",

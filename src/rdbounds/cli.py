@@ -8,11 +8,12 @@ dmax     report the zero-crossing of the lower bound and both zero-rate
 ba       Blahut-Arimoto sweep only (same table schema)
 verify   cross-module consistency checks; exit 0 iff all pass
 
-``_sweep_point`` is the one place a command computes a bound cell: it returns
-a row of raw (unclamped) rates, at most one note per bound and the BA point.
-``bounds``/``ba`` sweep it over the grid (one task per ``--threads`` worker) and
-``verify`` reads its checks off such rows; ``_emit`` is the one place a cell
-is formatted.
+``_sweep_rows`` is the one place a command computes a bound cell: for each
+grid point it returns a row of raw (unclamped) rates, at most one note per
+bound and the BA point.  It takes the R_U column of its points in one batched
+call and every other cell point by point.  ``bounds``/``ba`` give it one share
+of the grid per ``--threads`` worker and ``verify`` reads its checks off its
+rows; ``_emit`` is the one place a cell is formatted.
 
 The CSV schema is fixed: ``s,D,R_slb,R_u,R_au,R_ge,R_trivial,R_ba,flags``.
 Rates are nats by default (--units bits divides by ln 2 on output).  Values
@@ -231,43 +232,63 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _sweep_point(source, loss, selected, s, d, ba_n, args):
-    """One grid point: the raw rate of each column (None where not computed),
-    at most one note per bound and the BA point; failures note, never abort."""
-    row = {"s": s, "D": d, **dict.fromkeys(RATE_COLUMNS.values()), "notes": {}, "ba": None}
-    notes = row["notes"]
-    cells = {
-        "slb": lambda: bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss),
-        "ru": lambda: bounds_mod.convolution_upper_bound(source, s, loss).raw_rate,
-        "rau": lambda: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha, loss).raw_rate,
-        "rge": lambda: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
-        "trivial": lambda: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
-    }
-    for bound, compute in cells.items():
-        if bound not in selected:
-            continue
-        if bound in ("rau", "trivial") and not isinstance(source, Laplacian):
-            notes[bound] = f"{bound}_unsupported"
-            continue
-        # a closed form can overflow or divide by an underflowed term at an
-        # extreme slope; that cell is noted, and the rest of the row stands
-        try:
-            raw = compute()
-        except (ValueError, ArithmeticError) as exc:
-            notes[bound] = f"{bound}_error:{exc}"
-            continue
-        if math.isfinite(raw):
-            row[RATE_COLUMNS[bound]] = raw
-        else:
-            notes[bound] = f"{bound}_error:non-finite"
-    if "ba" in selected:
-        pt = row["ba"] = ba_mod.ba_curve(source, loss, [s], n=ba_n, tol=args.ba_tol,
-                                         max_iter=args.ba_max_iter)[0]
-        if not math.isnan(pt.r):
-            row["R_ba"] = pt.r
-        if pt.flag:
-            notes["ba"] = pt.flag
-    return row
+def _ru_column(source, loss, points):
+    """Raw R_U of every point from one batch, or None when the batch raises.
+
+    A slope whose layout fails takes its batch down with it; the caller then
+    takes each slope alone, so that the failure is noted on its own row.
+    """
+    try:
+        return [pt.raw_rate for pt in
+                bounds_mod.convolution_upper_bounds(source, [s for s, _ in points], loss)]
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def _sweep_rows(source, loss, selected, points, ba_n, args):
+    """One row per (s, d) point: the raw rate of each column (None where not
+    computed), at most one note per bound and the BA point; failures note,
+    never abort."""
+    ru = _ru_column(source, loss, points) if "ru" in selected else None
+    rows = []
+    for i, (s, d) in enumerate(points):
+        row = {"s": s, "D": d, **dict.fromkeys(RATE_COLUMNS.values()), "notes": {}, "ba": None}
+        notes = row["notes"]
+        cells = {
+            "slb": lambda: bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss),
+            "ru": lambda: (ru[i] if ru is not None
+                           else bounds_mod.convolution_upper_bound(source, s, loss).raw_rate),
+            "rau": lambda: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha,
+                                                                      loss).raw_rate,
+            "rge": lambda: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
+            "trivial": lambda: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
+        }
+        for bound, compute in cells.items():
+            if bound not in selected:
+                continue
+            if bound in ("rau", "trivial") and not isinstance(source, Laplacian):
+                notes[bound] = f"{bound}_unsupported"
+                continue
+            # a closed form can overflow or divide by an underflowed term at an
+            # extreme slope; that cell is noted, and the rest of the row stands
+            try:
+                raw = compute()
+            except (ValueError, ArithmeticError) as exc:
+                notes[bound] = f"{bound}_error:{exc}"
+                continue
+            if math.isfinite(raw):
+                row[RATE_COLUMNS[bound]] = raw
+            else:
+                notes[bound] = f"{bound}_error:non-finite"
+        if "ba" in selected:
+            pt = row["ba"] = ba_mod.ba_curve(source, loss, [s], n=ba_n, tol=args.ba_tol,
+                                             max_iter=args.ba_max_iter)[0]
+            if not math.isnan(pt.r):
+                row["R_ba"] = pt.r
+            if pt.flag:
+                notes["ba"] = pt.flag
+        rows.append(row)
+    return rows
 
 
 def _emit(rows, args) -> str:
@@ -318,16 +339,16 @@ def cmd_bounds(args, selected=None) -> int:
     points = _grid_points(args, loss)
     workers = min(args.threads or os.cpu_count() or 1, len(points))
 
-    def sweep(chunk):
-        return [_sweep_point(source, loss, selected, s, d, args.ba_n, args) for s, d in chunk]
+    def sweep(share):
+        return _sweep_rows(source, loss, selected, share, args.ba_n, args)
 
     # one task per worker, over every workers-th point; the rows go back into
     # grid order before the stable sort, so the output cannot depend on --threads
     rows = [None] * len(points)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(sweep, (points[i::workers] for i in range(workers)))
-        for i, chunk in enumerate(chunks):
-            rows[i::workers] = chunk
+        shares = pool.map(sweep, (points[i::workers] for i in range(workers)))
+        for i, share in enumerate(shares):
+            rows[i::workers] = share
     rows.sort(key=lambda row: row["D"])
     _write(_emit(rows, args), args)
     return 0
@@ -346,7 +367,10 @@ def cmd_dmax(args) -> int:
     try:
         root = bounds_mod.slb_zero(source, loss)
         report["slb_zero"] = root
-        if loss.epsilon > 0.0:
+        if loss.epsilon > 0.0 and isinstance(source, Laplacian):
+            # the first gap is below an ulp of either value at small eps
+            ordered = min(bounds_mod.laplacian_dmax_gaps(source.alpha, loss)) > 0.0
+        elif loss.epsilon > 0.0:
             ordered = root < d_eps < d_zero
         else:
             # equal for a Laplacian: allow round-off relative to the scale
@@ -375,19 +399,19 @@ def cmd_dmax(args) -> int:
 
 
 def _verify_checks(source, loss, args) -> list[dict]:
-    """Every bound and BA value here is read off ``_sweep_point`` rows."""
+    """Every bound and BA value here is read off ``_sweep_rows`` rows."""
     from .quadrature import integrate, panel_edges
     from .spectral import tilted_cf
 
     def rows(selected, slopes, n=args.ba_n):
-        return [_sweep_point(source, loss, selected, s, distortion_of_slope(s, loss), n, args)
-                for s in slopes]
+        return _sweep_rows(source, loss, selected,
+                           [(s, distortion_of_slope(s, loss)) for s in slopes], n, args)
 
     # closed form of the lower bound against its slope-parametric route
     h_p = source.differential_entropy()
     ds = np.geomspace(1e-3, max(source.d_max(loss), 1e-2), 50)
-    slb_rows = [_sweep_point(source, loss, ("slb",), slope_of_distortion(d, loss), d,
-                             args.ba_n, args) for d in ds]
+    slb_rows = _sweep_rows(source, loss, ("slb",), [(slope_of_distortion(d, loss), d) for d in ds],
+                           args.ba_n, args)
     worst = max(abs(r["R_slb"] - (h_p - tilted_entropy(r["s"], loss))) for r in slb_rows)
     checks = [_limit_check("slb_two_route", "max_abs_diff", worst, 1e-12)]
 

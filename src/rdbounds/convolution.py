@@ -9,17 +9,25 @@ cell sum (see _tabulated_conv_pdf).  The Laplacian and tabulated ones are
 sums of positive terms, so they keep their relative accuracy where r is
 tiny.  The Gaussian's error functions come from one numpy erfcx, a fixed
 polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.  The
-entropy of r is one Gauss-Legendre panel sum, with a break at every cell
-edge +- eps for tabulated sources; past the Gaussian's end, and past the
-point where a Laplacian's r is one exponential of rate |s| < alpha, its
-panels grow with the kernel's decay length 1/|s|, so their number does not
-grow as s -> 0.
+Laplacian and Gaussian densities take the slope as an array broadcast
+against y, so one call serves the nodes of many slopes.
+
+The entropy of r is one Gauss-Legendre panel sum per slope: 64 nodes per
+Laplacian panel, GAUSSIAN_NODES = 20 per Gaussian panel and 8 per tabulated
+one, with a break at every cell edge +- eps for tabulated sources; past the
+Gaussian's end, and past the point where a Laplacian's r is one exponential
+of rate |s| < alpha, its panels grow with the kernel's decay length 1/|s|,
+so their number does not grow as s -> 0.  ``conv_entropies`` takes a batch of slopes: the panels
+of every slope come from one ``panel_edges`` call, and their nodes are
+evaluated in chunks of whole slopes of at most NODE_BUDGET nodes, so that
+no temporary array reaches glibc's 128 KiB mmap threshold however long the
+batch.  Each slope is summed by its own np.dot over its own nodes, so its
+value does not depend on the batch or the chunk it falls in.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 import numpy as np
 
@@ -27,43 +35,68 @@ from .quadrature import panel_edges, panel_nodes
 from .sources import Gaussian, Laplacian, Source, Tabulated
 from .tilted import EpsilonLoss, _check_slope, normalizer
 
-__all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy"]
+__all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy", "conv_entropies"]
+
+# nodes per chunk of a batched entropy: the largest temporary, the erfcx
+# powers of a Gaussian chunk, is 5 x 2048 doubles = 80 KiB
+NODE_BUDGET = 2048
+# Gauss-Legendre nodes per Gaussian panel: for eps from 0 to 3 sigma and
+# |s| sigma in [1e-4, 1e5] the 20-node R_U is within 1e-14 of the 64-node one
+GAUSSIAN_NODES = 20
 
 
-def _kernel_reach(s: float) -> float:
+def _kernel_reach(s):
     # beyond eps + 45/|s| the kernel is below e^-45 of its peak
-    return 45.0 / abs(s)
+    return 45.0 / np.abs(s)
 
 
-def _entropy_edges(s: float, loss: EpsilonLoss, upper: float, smooth_scale: float,
-                   far: float | None = None) -> np.ndarray:
-    """Panel edges on [0, upper] for -r log r: source-scale panels, finer near eps.
+def _entropy_edges(s, loss: EpsilonLoss, upper, smooth_scale: float, far=None):
+    """Panels on [0, upper] for -r log r: source-scale panels, finer near eps.
 
     Past ``far`` (default and cap: upper) r is one exponential of rate |s|,
     so its panels are 30 / |s| long where that is longer than the
-    source-scale ones.
+    source-scale ones.  For one slope the result is panel_edges' edge array;
+    for an array of slopes (upper and far broadcast against it) it is
+    panel_edges' (panels, chain) over one break chain per slope.
     """
     eps = loss.epsilon
     coarse = 2.0 * smooth_scale
-    decay = 30.0 / abs(s)
-    far = upper if far is None or decay <= coarse else min(far, upper)
-    fine_half = min(_kernel_reach(s), eps) if eps > 0.0 else 0.0
-    fine_hi = min(eps + _kernel_reach(s), far)
-    fine = min(decay, coarse)
-    breaks = [0.0, max(eps - fine_half, 0.0), min(eps, upper), fine_hi, far, upper]
-    return panel_edges(breaks, [coarse, fine, fine, coarse, decay])
+    decay = 30.0 / np.abs(s)
+    far = upper if far is None else np.where(decay <= coarse, upper, np.minimum(far, upper))
+    fine_half = np.minimum(_kernel_reach(s), eps) if eps > 0.0 else 0.0
+    fine_hi = np.minimum(eps + _kernel_reach(s), far)
+    fine = np.minimum(decay, coarse)
+    breaks = np.broadcast_arrays(0.0, np.maximum(eps - fine_half, 0.0), np.minimum(eps, upper),
+                                 fine_hi, far, upper)
+    lengths = np.broadcast_arrays(coarse, fine, fine, coarse, decay)
+    return panel_edges(np.stack(breaks, axis=-1), np.stack(lengths, axis=-1))
 
 
-def _exp_divided_difference(u, s: float, alpha: float):
+def _check_slopes(s) -> np.ndarray:
+    """s as a float array, each entry a finite negative real (or ValueError)."""
+    s = np.asarray(s, dtype=float)
+    bad = ~((s < 0.0) & (s > -np.inf))
+    if bad.any():
+        raise ValueError(f"slope s must be a finite negative real, got {float(s[bad].flat[0])!r}")
+    return s
+
+
+def _normalizer(s, eps: float):
+    """C(s) of tilted.normalizer, elementwise over an array of valid slopes."""
+    b = np.abs(s)
+    return 2.0 * (1.0 + b * eps) / b
+
+
+def _exp_divided_difference(u, s, alpha: float):
     """(e^{s u} - e^{-alpha u}) / (s + alpha) for u >= 0, finite at s = -alpha."""
-    x = -abs(s + alpha) * u
+    x = -np.abs(s + alpha) * u
     # exprel(x) = expm1(x) / x, equal to 1 at x = 0
     with np.errstate(invalid="ignore"):
         exprel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-    return u * np.exp(max(s, -alpha) * u) * exprel
+    return u * np.exp(np.maximum(s, -alpha) * u) * exprel
 
 
-def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
+def laplacian_conv_pdf(y, s, alpha: float, loss: EpsilonLoss):
     """Closed form of (tilted kernel * Laplacian density)(y).
 
     Piecewise in |y|: a flat-band expression inside [-eps, eps] and a sum of
@@ -71,13 +104,17 @@ def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
     of positive terms, so the density keeps its relative accuracy at any
     slope.  The outer branch writes its removable 0/0 at |s| = alpha as a
     divided difference of exponentials, so the density is finite and
-    continuous in s there too.
+    continuous in s there too.  The slope s is one value or an array
+    broadcast against y.
     """
-    s = _check_slope(s)
     alpha = float(alpha)
     eps = loss.epsilon
+    s = _check_slopes(s)
     y = np.asarray(y, dtype=float)
-    ay = np.abs(y).reshape(-1)
+    shape = np.broadcast_shapes(y.shape, s.shape)
+    ay = np.broadcast_to(np.abs(y), shape).reshape(-1)
+    # one slope stays a scalar; an array of them is flattened along with y
+    s = np.broadcast_to(s, shape).reshape(-1) if s.ndim else float(s)
     u = np.maximum(ay - eps, 0.0)
     ratio = alpha / (alpha - s)
     out = ((2.0 * alpha + s * math.expm1(-2.0 * alpha * eps)) / (alpha - s) * np.exp(-alpha * u)
@@ -85,9 +122,10 @@ def laplacian_conv_pdf(y, s: float, alpha: float, loss: EpsilonLoss):
     # inside the band 2 + c1 (E1 + E2) with c1 = ratio - 1, taken on its lanes only
     band = ay < eps
     e1, e2 = -alpha * (ay[band] + eps), alpha * (ay[band] - eps)
-    out[band] = ratio * (np.exp(e1) + np.exp(e2)) - np.expm1(e1) - np.expm1(e2)
-    out /= 2.0 * normalizer(s, loss)
-    return out.reshape(y.shape) if y.ndim else float(out[0])
+    out[band] = (np.broadcast_to(ratio, ay.shape)[band] * (np.exp(e1) + np.exp(e2))
+                 - np.expm1(e1) - np.expm1(e2))
+    out /= 2.0 * _normalizer(s, eps)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 # log(erfcx(z) / t) with t = 2 / (2 + z) is smooth on t in (0, 1], with the
@@ -139,7 +177,7 @@ def _erfc(x, scaled):
     return np.where(x < 0.0, 2.0 - direct, direct)
 
 
-def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
+def _gaussian_conv_pdf(y, s, sigma: float, loss: EpsilonLoss):
     """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails.
 
     The kernel's right tail contributes, times C(s) and at offset w = y - eps,
@@ -147,9 +185,10 @@ def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
     modified Gaussian; the left tail is the same at w = -y - eps.  Where the
     normal argument is positive the product is rewritten with erfcx, which
     keeps it free of overflow.  One erfcx call serves the four error-function
-    arguments of each node: the band's two and the tails' two.
+    arguments of each node: the band's two and the tails' two.  s is one
+    slope or an array of them broadcast against y.
     """
-    eps, b = loss.epsilon, abs(s)
+    eps, b = loss.epsilon, np.abs(s)
     ay = np.abs(y)
     w = np.stack([ay - eps, -ay - eps])
     z = (b * sigma * sigma - w) / sigma
@@ -167,13 +206,32 @@ def _gaussian_conv_pdf(y, s: float, sigma: float, loss: EpsilonLoss):
         tails = np.where(z >= 0.0, emg,
                          np.exp(np.minimum(0.5 * (b * sigma) ** 2 - b * w, 0.0)) - emg)
     band = 0.5 * (erfc[0] - erfc[1])
-    return (band + (tails[0] + tails[1])) / normalizer(s, loss)
+    return (band + (tails[0] + tails[1])) / _normalizer(s, eps)
 
 
-def _tail_sums(dens: np.ndarray, decay: float) -> np.ndarray:
-    """L[k] = sum over cells c < k of dens[c] decay^(k - 1 - c), for k = 0..cells."""
-    return np.fromiter(accumulate(dens.tolist(), lambda acc, d: acc * decay + d, initial=0.0),
-                       float, dens.size + 1)
+def _tail_sums(dens: np.ndarray, rate: float) -> np.ndarray:
+    """L[k] = sum over cells c < k of dens[c] e^{-rate (k - 1 - c)}, for k = 0..cells.
+
+    In blocks of B ~ sqrt(cells) cells: one B x B matrix of e^{-rate (i - c)}
+    gives the sums within each block, and one carry per block, the sum at the
+    end of the block before, comes from an (blocks x blocks) matrix of
+    e^{-rate B (j - 1 - l)}.  Every factor is an exponential taken directly,
+    not a power of a rounded e^{-rate}, whose error grows with the power.
+    """
+    n = dens.size
+    size = math.isqrt(n - 1) + 1
+    blocks = -(-n // size)
+    padded = np.zeros(blocks * size)
+    padded[:n] = dens
+    i, j = np.arange(size), np.arange(blocks)
+    within = np.tril(np.exp(-rate * np.abs(i[:, None] - i)))
+    partial = padded.reshape(blocks, size) @ within.T
+    across = np.tril(np.exp(-(rate * size) * np.abs(j[:, None] - 1 - j)), -1)
+    carry = across @ partial[:, -1]
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    out[1:] = (partial + carry[:, None] * np.exp(-rate * (i + 1))).reshape(-1)[:n]
+    return out
 
 
 def _block_sums(masses: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -196,14 +254,14 @@ def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
     dens = source.masses / h
     masses = dens * np.diff(cell_edges)  # each cell's mass between its own edges
     eps, b = loss.epsilon, abs(s)
-    decay, factor = math.exp(-b * h), -math.expm1(-b * h) / b
+    factor = -math.expm1(-b * h) / b
     # padded tables, so that indices 0..cells + 1 need no clipping: edges[n] is
     # edge n - 1 (clamped), pad[n] the density of cell n - 1 (0 off the ends),
     # left[n] and right[n] the carries at the lower and upper edge of cell n - 1
     edges = np.concatenate([cell_edges[:1], cell_edges, cell_edges[-1:]])
     pad = np.concatenate([[0.0], dens, [0.0]])
-    left = _tail_sums(pad[:-1], decay) * factor
-    right = _tail_sums(pad[:0:-1], decay)[::-1] * factor
+    left = _tail_sums(pad[:-1], b * h) * factor
+    right = _tail_sums(pad[:0:-1], b * h)[::-1] * factor
     # cell p - 1 holds y - eps in [e, e'), cell q - 1 holds y + eps in (e, e'] (at eps = 0
     # a node on an edge has q = p - 1: no band); offsets are (edge - y) -+ eps, exact if small
     p = np.searchsorted(cell_edges, y - eps, side="right")
@@ -230,48 +288,51 @@ def _unsupported(source: Source) -> TypeError:
     return TypeError(f"no convolution density for source type {type(source).__name__}")
 
 
-def conv_pdf(source: Source, s: float, loss: EpsilonLoss, y) -> np.ndarray:
+def conv_pdf(source: Source, s, loss: EpsilonLoss, y) -> np.ndarray:
     """(tilted kernel * source density)(y), vectorized over y.
 
-    Supports Laplacian, Gaussian and Tabulated sources; any other source type
-    raises TypeError.
+    For Laplacian and Gaussian sources s is one slope or an array of slopes
+    broadcast against y; a tabulated source takes one slope.  Any other
+    source type raises TypeError.
     """
-    s = _check_slope(s)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if isinstance(source, Laplacian):
         return laplacian_conv_pdf(y, s, source.alpha, loss)
     if isinstance(source, Gaussian):
-        return _gaussian_conv_pdf(y, s, source.sigma, loss)
+        return _gaussian_conv_pdf(y, _check_slopes(s), source.sigma, loss)
     if isinstance(source, Tabulated):
-        return _tabulated_conv_pdf(source, s, loss, y)
+        return _tabulated_conv_pdf(source, _check_slope(s), loss, y)
     raise _unsupported(source)
 
 
-def _laplacian_upper(s: float, alpha: float, loss: EpsilonLoss) -> float:
-    """Half-line limit past which r is below ~e^-40 of its scale."""
-    rate = min(alpha, abs(s))
+def _laplacian_upper(s, alpha: float, loss: EpsilonLoss):
+    """Half-line limit past which r is below ~e^-40 of its scale (elementwise in s)."""
+    rate = np.minimum(alpha, np.abs(s))
     # the divided difference is at most min(u, 1/|s + alpha|) e^{-rate u}; u
-    # is capped at the 40/rate decay length the limit has to cover
-    coef = (2.0 * alpha - s) / (alpha - s) + 2.0 * alpha**2 / (
-        (alpha - s) * max(abs(s + alpha), rate / 40.0))
-    c = normalizer(s, loss)
-    return loss.epsilon + (40.0 + math.log(coef) + max(0.0, -math.log(2.0 * c))) / rate
+    # is capped at the 40/rate decay length the limit has to cover.  Past
+    # |s| ~ 1e154 the product below overflows, and the term it divides is 0
+    with np.errstate(over="ignore"):
+        coef = (2.0 * alpha - s) / (alpha - s) + 2.0 * alpha**2 / (
+            (alpha - s) * np.maximum(np.abs(s + alpha), rate / 40.0))
+    c = _normalizer(s, loss.epsilon)
+    return loss.epsilon + (40.0 + np.log(coef) + np.maximum(0.0, -np.log(2.0 * c))) / rate
 
 
-def _laplacian_far(s: float, alpha: float, loss: EpsilonLoss) -> float | None:
+def _laplacian_far(s, alpha: float, loss: EpsilonLoss):
     """For |s| < alpha, the |y| past which r is one exponential of rate |s|.
 
     There the e^{-alpha u} terms of the outer branch of laplacian_conv_pdf
     are below e^-40 of its e^{s u} term; at |s| >= alpha r decays at rate
-    alpha, and None keeps the source-scale panels out to the upper limit.
+    alpha, and inf keeps the source-scale panels out to the upper limit.
+    Elementwise in s.
     """
-    if abs(s) >= alpha:
-        return None
+    weak = s > -alpha
+    s = np.where(weak, s, -0.5 * alpha)  # a stand-in where the value is inf
     grow = 2.0 * alpha**2 / ((alpha - s) * (alpha + s))  # e^{s u} coefficient
     # the e^{-alpha u} coefficients: the c1 term (|c1| < 1), the middle one
     # and the divided difference's own
     fade = 1.0 + (2.0 * alpha - s) / (alpha - s) + grow
-    return loss.epsilon + (40.0 + math.log(fade / grow)) / (alpha + s)
+    return np.where(weak, loss.epsilon + (40.0 + np.log(fade / grow)) / (alpha + s), np.inf)
 
 
 def _neg_r_log_r(r):
@@ -289,29 +350,56 @@ def _tabulated_entropy_edges(source: Tabulated, s: float, loss: EpsilonLoss):
     return panel_edges(np.unique(breaks), 2.0 / abs(s))
 
 
-def conv_entropy(source: Source, s: float, loss: EpsilonLoss) -> float:
-    """Differential entropy of (tilted kernel * source), by panel quadrature.
+def _tabulated_entropy(source: Tabulated, s: float, loss: EpsilonLoss) -> float:
+    # r is linear plus exponentials of rate |s| on each panel, and no panel
+    # is longer than 2/|s|, so 8 nodes reach round-off
+    yn, wq = panel_nodes(_tabulated_entropy_edges(source, s, loss), 8)
+    return float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
 
-    Source types other than Laplacian, Gaussian and Tabulated raise TypeError.
+
+def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
+    """Differential entropy of (tilted kernel * source) at each slope, by panel quadrature.
+
+    A Laplacian or Gaussian batch takes its panels from one panel_edges call
+    and its density in chunks of whole slopes of at most NODE_BUDGET nodes
+    (a slope with more is a chunk of its own); a tabulated source is taken
+    one slope at a time.  Each slope's sum is its own np.dot in panel order,
+    so its value is the same in any batch.  Source types other than
+    Laplacian, Gaussian and Tabulated raise TypeError.
     """
-    s = _check_slope(s)
+    s = _check_slopes(slopes).reshape(-1)
     if isinstance(source, Tabulated):
-        # r is linear plus exponentials of rate |s| on each panel, and no panel
-        # is longer than 2/|s|, so 8 nodes reach round-off
-        edges, n, factor = _tabulated_entropy_edges(source, s, loss), 8, 1.0
+        return np.array([_tabulated_entropy(source, float(v), loss) for v in s])
+    far = None
+    if isinstance(source, Laplacian):
+        upper = _laplacian_upper(s, source.alpha, loss)
+        far = _laplacian_far(s, source.alpha, loss)
+        smooth, n = 15.0 / source.alpha, 64
+    elif isinstance(source, Gaussian):
+        far = source.tail_span(1e-16) + loss.epsilon
+        upper = far + _kernel_reach(s)
+        smooth, n = source.sigma, GAUSSIAN_NODES
     else:
-        far = None
-        if isinstance(source, Laplacian):
-            upper = _laplacian_upper(s, source.alpha, loss)
-            far = _laplacian_far(s, source.alpha, loss)
-            smooth = 15.0 / source.alpha
-        elif isinstance(source, Gaussian):
-            far = source.tail_span(1e-16) + loss.epsilon
-            upper = far + _kernel_reach(s)
-            smooth = source.sigma
-        else:
-            raise _unsupported(source)
-        # r is even, so integrate over the half line and double
-        edges, n, factor = _entropy_edges(s, loss, upper, smooth, far), 64, 2.0
-    yn, wq = panel_nodes(edges, n)
-    return factor * float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
+        raise _unsupported(source)
+    # r is even, so integrate over the half line and double
+    panels, chain = _entropy_edges(s, loss, upper, smooth, far)
+    starts = np.searchsorted(chain, np.arange(s.size + 1)).tolist()
+    out = np.empty(s.size)
+    first = 0
+    while first < s.size:
+        last = first + 1
+        while last < s.size and (starts[last + 1] - starts[first]) * n <= NODE_BUDGET:
+            last += 1
+        lo, hi = starts[first], starts[last]
+        yn, wq = panel_nodes(panels[:, lo:hi], n)
+        f = _neg_r_log_r(conv_pdf(source, np.repeat(s[chain[lo:hi]], n), loss, yn))
+        for k in range(first, last):
+            a, b = (starts[k] - lo) * n, (starts[k + 1] - lo) * n
+            out[k] = 2.0 * float(np.dot(wq[a:b], f[a:b]))
+        first = last
+    return out
+
+
+def conv_entropy(source: Source, s: float, loss: EpsilonLoss) -> float:
+    """Differential entropy of (tilted kernel * source): conv_entropies at one slope."""
+    return float(conv_entropies(source, [_check_slope(s)], loss)[0])

@@ -1,10 +1,12 @@
 """Independent numeric oracles used to pin expected values in the tests.
 
-Everything here goes through scipy's adaptive QUADPACK routines or plain
-brute force, never through the library's own Gauss-Legendre panels, so that
-closed forms and quadrature cross-check along genuinely different routes.
+Everything here goes through scipy's adaptive QUADPACK routines, plain
+brute force or high-precision decimals, never through the library's own
+Gauss-Legendre panels, so that closed forms and quadrature cross-check along
+genuinely different routes.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -248,3 +250,22 @@ def d_max_cells_quad(grid, masses, eps, y):
         val, _ = integrate.quad(loss, lo, hi, points=pts or None, epsabs=1e-14, epsrel=1e-13)
         total += m / h * val
     return total
+
+
+def laplacian_dmax_gap_decimal(u, digits=700):
+    """(e^{-u} - (1 - t)^2 e^t) / u^3 with t = W0(u), in `digits`-digit decimals.
+
+    The numerator is alpha (d_max(eps) - slb_zero) for a Laplacian at
+    u = alpha eps; its terms cancel to about u^3, so `digits` must exceed
+    3 |log10 u| plus the digits wanted.  W0 is Newton on t e^t = u.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        u = decimal.Decimal(u)
+        t = u
+        for _ in range(100):
+            step = (t * t.exp() - u) / (t.exp() * (t + 1))
+            t -= step
+            if abs(step) <= abs(t) * decimal.Decimal(10) ** (4 - digits):
+                break
+        return float(((-u).exp() - (1 - t) ** 2 * t.exp()) / u**3)

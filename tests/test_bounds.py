@@ -14,8 +14,10 @@ from rdbounds import (
     analytic_upper_bound_laplacian,
     conv_pdf,
     convolution_upper_bound,
+    convolution_upper_bounds,
     gaussian_entropy_bound,
     laplacian_conv_pdf,
+    laplacian_dmax_gaps,
     laplacian_upper_bound_terms,
     shannon_lower_bound,
     slb_at_matched_slope,
@@ -101,6 +103,15 @@ class TestSlbZero:
     def test_vacuous(self):
         with pytest.raises(ValueError, match="vacuous"):
             slb_zero(LAP, EpsilonLoss(2.0))
+
+    @pytest.mark.parametrize("u", [1e-200, 1e-9, 5e-4, 9.99e-4, 0.5, 2.0])
+    def test_laplacian_dmax_gaps_match_decimal_oracle(self, u):
+        # at u = 1e-200 the first gap itself, u^3 / 6, would underflow
+        loss = EpsilonLoss(u / ALPHA)
+        u = ALPHA * loss.epsilon  # the u the library sees
+        band, top = laplacian_dmax_gaps(ALPHA, loss)
+        assert band == pytest.approx(oracles.laplacian_dmax_gap_decimal(u), rel=4e-15)
+        assert top == pytest.approx(-math.expm1(-u) / u, rel=1e-15)
 
     @pytest.mark.parametrize("src", [LAP, GAU, TAB], ids=["laplacian", "gaussian", "tabulated"])
     @pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-9, 0.01, 0.1, 1.0])
@@ -311,6 +322,29 @@ class TestNumericConvolution:
                 want = oracles.conv_cells_quad(src.grid, src.masses, s, 0.0, y)
                 assert value == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    def test_tail_sums_match_recursion(self):
+        # against L[k + 1] = L[k] e^{-rate} + dens[k] run in long double (in
+        # double its powers of a rounded e^{-rate} drift by up to 1.6e-14
+        # relative below rate 1e-2).  Every exponent rate d is a rounded
+        # product, so L[k] is known to 1e-15 plus 2^-52 times its mean
+        # exponent rate X[k] / L[k], where X[k] sums dens[c] (k - 1 - c) e^{..}
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            dens = rng.uniform(0.0, 1.0, int(rng.integers(1, 700)))
+            dens[rng.uniform(size=dens.size) < rng.uniform(0.0, 0.9)] = 0.0
+            rate = 10.0 ** rng.uniform(-4.0, 2.5)
+            decay = np.exp(-np.longdouble(rate))
+            want = np.zeros(dens.size + 1, dtype=np.longdouble)
+            moment = want.copy()
+            for k, d in enumerate(dens.astype(np.longdouble)):
+                moment[k + 1] = (moment[k] + want[k]) * decay
+                want[k + 1] = want[k] * decay + d
+            got = convolution._tail_sums(dens, rate)
+            normal = want > 1e-300  # below, double has lost digits to underflow
+            assert got[0] == 0.0 and np.all(got[want == 0.0] == 0.0)
+            err = np.abs(got[normal] - want[normal]) / want[normal]
+            assert np.all(err <= 1e-15 + 2.0**-52 * rate * moment[normal] / want[normal])
+
     def test_tabulated_block_sum_lookups_per_node(self, monkeypatch):
         # a band of about 600 whole cells is summed from power-of-two blocks,
         # at most ceil(log2 600) + 1 lookups per node
@@ -445,6 +479,76 @@ class TestConvolutionUpperBound:
         assert np.all(np.isfinite(rates))
         assert not any(pt.flag or pt.clamped for pt in pts)
         assert np.max(np.abs(rates[1:] - rates[0])) <= 1e-8
+
+
+class TestBatchedUpperBound:
+    """convolution_upper_bounds over a batch: each slope's value is the one it
+    has alone, wherever the chunks of the batch fall."""
+
+    SLOPES = -np.geomspace(1e-3, 1e4, 60)
+
+    @classmethod
+    def alone(cls, src, loss):
+        return {s: convolution_upper_bound(src, s, loss).raw_rate for s in cls.SLOPES}
+
+    @pytest.mark.parametrize("src", [LAP, GAU, TAB], ids=["laplacian", "gaussian", "tabulated"])
+    def test_slope_value_independent_of_batch(self, src):
+        loss = EpsilonLoss(0.1)
+        alone = self.alone(src, loss)
+        shuffled = np.random.default_rng(5).permutation(self.SLOPES)
+        batch = convolution_upper_bounds(src, shuffled, loss)
+        assert [pt.s for pt in batch] == list(shuffled)
+        assert all(pt.raw_rate == alone[pt.s] for pt in batch)
+
+    @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
+    def test_slope_value_independent_of_chunk(self, monkeypatch, src):
+        # one slope at every position among the rest: before and after each
+        # boundary of chunks that never pass the node budget
+        loss = EpsilonLoss(0.1)
+        alone = self.alone(src, loss)
+        chunks = []
+
+        def counting_pdf(source, s, loss, y):
+            chunks.append(np.size(y))
+            return real_pdf(source, s, loss, y)
+
+        real_pdf = convolution.conv_pdf
+        monkeypatch.setattr(convolution, "conv_pdf", counting_pdf)
+        shuffled = list(np.random.default_rng(6).permutation(self.SLOPES))
+        for target in shuffled[:2]:
+            rest = [s for s in shuffled if s != target]
+            for at in range(len(rest) + 1):
+                chunks.clear()
+                batch = convolution_upper_bounds(src, rest[:at] + [target] + rest[at:], loss)
+                assert batch[at].s == target and batch[at].raw_rate == alone[target]
+                assert len(chunks) > 1 and max(chunks) <= convolution.NODE_BUDGET
+
+    @pytest.mark.parametrize("sigma2", [0.3, 1.0, 4.0])
+    def test_gaussian_twenty_nodes_match_sixty_four(self, monkeypatch, sigma2):
+        src = Gaussian(sigma2)
+        slopes = -np.geomspace(1e-4, 1e5, 91) / src.sigma
+        for eps in (0.0, 0.1 * src.sigma, src.sigma, 3.0 * src.sigma):
+            loss = EpsilonLoss(eps)
+            got = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, loss)]
+            with monkeypatch.context() as patch:
+                patch.setattr(convolution, "GAUSSIAN_NODES", 64)
+                want = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, loss)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_long_gaussian_batch_allocates_by_the_node_budget(self):
+        # at most 64 live doubles per node of a chunk, and 1 KiB per slope for
+        # its panels and its point; evaluating the batch's ~440 000 nodes at
+        # once would take about a hundred times the bound
+        slopes = list(-np.geomspace(1e-4, 1e5, 2000))
+        convolution_upper_bounds(GAU, slopes[:3], EpsilonLoss(0.1))  # lazy set-up
+        tracemalloc.start()
+        try:
+            points = convolution_upper_bounds(GAU, slopes, EpsilonLoss(0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 2000
+        assert peak < 64 * 8 * convolution.NODE_BUDGET + 1024 * len(slopes)
 
 
 class TestGaussianEntropyBound:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rdbounds
-from rdbounds import bounds
+from rdbounds import bounds, convolution
 from rdbounds.cli import COLUMNS, build_parser, main
 from rdbounds.sources import Gaussian, Laplacian
 from rdbounds.tilted import EpsilonLoss, distortion_of_slope
@@ -422,6 +422,56 @@ class TestConfigHandling:
                 assert cells[column] != "" or f"{bound}_error:" in cells["flags"]
 
 
+class TestBatchedColumn:
+    """The R_U column of a share is one batch; a slope that fails in it is
+    noted on its own row, and every other row keeps its value."""
+
+    ARGS = ["bounds", "--source", "gaussian", "--epsilon", "0.1", "--grid-min", "0.5",
+            "--grid-max", "50", "--grid-count", "7", "--bounds", "slb,ru,rge"]
+
+    def rows(self, capsys, *extra):
+        code, out, err = run_cli(capsys, *self.ARGS, *extra)
+        assert code == 0 and err == ""
+        return parse_csv(out)[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_slope_noted_on_its_own_row(self, capsys, monkeypatch, threads):
+        clean = self.rows(capsys)
+        bad = -float(np.geomspace(0.5, 50, 7)[3])
+        real_pdf = convolution.conv_pdf
+
+        def pdf(source, s, loss, y):
+            out = real_pdf(source, s, loss, y)
+            return np.where(np.broadcast_to(s, np.shape(out)) == bad, np.inf, out)
+
+        monkeypatch.setattr(convolution, "conv_pdf", pdf)
+        rows = self.rows(capsys, "--threads", threads)
+        for row, want in zip(rows, clean):
+            if float(row[0]) == float(f"{bad:.12g}"):
+                assert row[3] == "" and row[-1] == "ru_error:non-finite"
+                assert row[:3] + row[4:-1] == want[:3] + want[4:-1]
+            else:
+                assert row == want
+
+    def test_raising_slope_noted_on_its_own_row(self, capsys, monkeypatch):
+        clean = self.rows(capsys, "--bounds", "ru")
+        bad = -float(np.geomspace(0.5, 50, 7)[5])
+        real_entropy = bounds.tilted_entropy
+
+        def entropy(s, loss):
+            if s == bad:
+                raise OverflowError("math range error")
+            return real_entropy(s, loss)
+
+        monkeypatch.setattr(bounds, "tilted_entropy", entropy)
+        rows = self.rows(capsys, "--bounds", "ru")
+        for row, want in zip(rows, clean):
+            if float(row[0]) == float(f"{bad:.12g}"):
+                assert row[3] == "" and row[-1] == "ru_error:math range error"
+            else:
+                assert row == want
+
+
 class TestDmax:
     def test_laplacian_chain(self, capsys):
         code, out, _ = run_cli(
@@ -477,6 +527,16 @@ class TestDmax:
         assert code == 0, report
         assert report["ordered"]
         assert report["d_max_zero"] == pytest.approx(0.125, rel=1e-12)
+
+    def test_laplacian_small_band_ordered(self, capsys):
+        # d_max(eps) - slb_zero ~ (alpha eps)^3 / (6 alpha) is below an ulp of
+        # either value here, and underflows at eps = 1e-200
+        for eps in [*np.geomspace(1e-12, 1e-2, 101), 1e-200]:
+            code, out, _ = run_cli(capsys, "dmax", "--source", "laplacian", "--alpha", "1",
+                                   "--epsilon", repr(float(eps)), "--format", "json")
+            report = json.loads(out)
+            assert code == 0 and report["ordered"], eps
+            assert report["d_max_eps"] == math.exp(-eps)
 
     def test_vacuous_band_exits_nonzero(self, capsys):
         code, out, _ = run_cli(

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from rdbounds import EpsilonLoss
 from rdbounds.convolution import _entropy_edges, _kernel_reach
-from rdbounds.quadrature import panel_edges
+from rdbounds.quadrature import gauss_legendre, integrate, panel_edges, panel_nodes
 
 
 def reference_panel_edges(breaks, max_len):
@@ -52,6 +54,26 @@ class TestPanelEdges:
         np.testing.assert_array_equal(panel_edges([0.0, 1.0, 1.0, 2.0], [0.5, 9.0, 1.0]),
                                       [0.0, 0.5, 1.0, 2.0])
 
+    def test_rows_lay_out_each_rows_panels(self):
+        # one call over a stack of non-decreasing chains gives, row by row,
+        # the consecutive pairs of each row's own edge array
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            rows, width = int(rng.integers(1, 6)), int(rng.integers(2, 8))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            breaks = np.sort(rng.uniform(-scale, scale, (rows, width)), axis=1)
+            breaks[:, 2:3] = breaks[:, 1:2]  # a degenerate pair in every row
+            max_len = scale * 10.0 ** rng.uniform(-2.5, 0.5, (rows, width - 1))
+            panels, chain = panel_edges(breaks, max_len)
+            want = [panel_edges(row, length) for row, length in zip(breaks, max_len)]
+            np.testing.assert_array_equal(chain, np.repeat(np.arange(rows),
+                                                           [e.size - 1 for e in want]))
+            np.testing.assert_array_equal(panels[0], np.concatenate([e[:-1] for e in want]))
+            np.testing.assert_array_equal(panels[1], np.concatenate([e[1:] for e in want]))
+            per_row = [panel_nodes(e, 8) for e in want]
+            for k, got in enumerate(panel_nodes(panels, 8)):
+                np.testing.assert_array_equal(got, np.concatenate([r[k] for r in per_row]))
+
     @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0])
     def test_entropy_edges_match_four_segment_loop(self, eps):
         loss = EpsilonLoss(eps)
@@ -67,3 +89,21 @@ class TestPanelEdges:
                           for i, length in ((1, fine), (2, fine), (3, coarse))]
                 want = np.concatenate(parts)
                 np.testing.assert_array_equal(_entropy_edges(s, loss, upper, smooth), want)
+
+
+class TestGaussLegendre:
+    # panels short enough that the rule itself is exact to round-off; what is
+    # left is the weights' own error (numpy's leggauss(64) was 1.6e-14 off)
+    @pytest.mark.parametrize("n,length", [(8, 1.0), (20, 30.0), (64, 30.0)])
+    def test_integrates_exponential_to_round_off(self, n, length):
+        got = integrate(lambda y: np.exp(-y), panel_edges([0.0, 30.0], length), n)
+        want = -math.expm1(-30.0)
+        assert abs(got - want) <= 4e-16 * want
+
+    @pytest.mark.parametrize("n", [8, 20, 64])
+    def test_symmetric_rule_with_weights_summing_to_two(self, n):
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert abs(math.fsum(w) - 2.0) <= 4.5e-16
