@@ -4,36 +4,35 @@ r(y) = (g * p)(y) is the reproduction marginal behind the convolution upper
 bound.  For every source it has one shape: the source's mass in the band
 [y - eps, y + eps] plus two exponential tails, the kernel's e^{-|s| t}
 reaching past either end of the band, all over C(s).  That is closed form
-for the Laplacian and the Gaussian, and for a tabulated source an exact
-cell sum (see _tabulated_conv_pdf).  The Laplacian and tabulated ones are
-sums of positive terms, so they keep their relative accuracy where r is
-tiny.  The Gaussian's error functions come from one numpy erfcx, a fixed
-polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.  The
-Laplacian and Gaussian densities take the slope as an array broadcast
-against y, so one call serves the nodes of many slopes.
+for the Laplacian and the Gaussian, and an exact cell sum for a tabulated
+source (see _TabulatedGeometry).  The Laplacian and tabulated ones are sums
+of positive terms, so they keep their relative accuracy where r is tiny.
+The Gaussian's error functions come from one numpy erfcx, a fixed
+polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.
 
-The entropy of r is one Gauss-Legendre panel sum per slope: 64 nodes per
-Laplacian panel, GAUSSIAN_NODES = 20 per Gaussian panel and 8 per tabulated
-one, with a break at every cell edge +- eps for tabulated sources; past the
-Gaussian's end, and past the point where a Laplacian's r is one exponential
-of rate |s| < alpha, its panels grow with the kernel's decay length 1/|s|,
-so their number does not grow as s -> 0.  ``conv_entropies`` takes a batch of slopes: the panels
-of every slope come from one ``panel_edges`` call, and their nodes are
-evaluated in chunks of whole slopes of at most NODE_BUDGET nodes, so that
-no temporary array reaches glibc's 128 KiB mmap threshold however long the
-batch.  Each slope is summed by its own np.dot over its own nodes, so its
-value does not depend on the batch or the chunk it falls in.
+The entropy of r is a Gauss-Legendre panel sum per slope.  A Laplacian or
+Gaussian batch, 64 or GAUSSIAN_NODES = 20 nodes per panel, takes its panels
+from one ``panel_edges`` call; past the Gaussian's end, and past the point
+where a Laplacian's r is one exponential of rate |s| < alpha, they grow with
+the kernel's decay length 1/|s|, so their number does not grow as s -> 0.
+Their nodes are evaluated in chunks of whole slopes of at most NODE_BUDGET
+nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.
+A tabulated batch shares one slope-free geometry: 8-node panels between the
+breaks (cell edge) +- eps, and a closed form past the outer breaks, where r
+is one exponential.  Each slope is summed by its own np.dot in panel order,
+so its value does not depend on the batch or the chunk it falls in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .quadrature import panel_edges, panel_nodes
 from .sources import Gaussian, Laplacian, Source, Tabulated
-from .tilted import EpsilonLoss, _check_slope, normalizer
+from .tilted import EpsilonLoss, _check_slope
 
 __all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy", "conv_entropies"]
 
@@ -209,29 +208,28 @@ def _gaussian_conv_pdf(y, s, sigma: float, loss: EpsilonLoss):
     return (band + (tails[0] + tails[1])) / _normalizer(s, eps)
 
 
-def _tail_sums(dens: np.ndarray, rate: float) -> np.ndarray:
-    """L[k] = sum over cells c < k of dens[c] e^{-rate (k - 1 - c)}, for k = 0..cells.
+def _tail_sums(dens: np.ndarray, rate) -> np.ndarray:
+    """L[..., k] = sum over cells c < k of dens[..., c] e^{-rate (k - 1 - c)}, for k = 0..cells.
 
     In blocks of B ~ sqrt(cells) cells: one B x B matrix of e^{-rate (i - c)}
     gives the sums within each block, and one carry per block, the sum at the
     end of the block before, comes from an (blocks x blocks) matrix of
     e^{-rate B (j - 1 - l)}.  Every factor is an exponential taken directly,
     not a power of a rounded e^{-rate}, whose error grows with the power.
+    An array of rates broadcasts against the leading axes of dens: one per slope.
     """
-    n = dens.size
+    rate = np.asarray(rate, dtype=float)[..., None, None]
+    n = dens.shape[-1]
     size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)
-    padded = np.zeros(blocks * size)
-    padded[:n] = dens
+    padded = np.pad(dens, [(0, 0)] * (dens.ndim - 1) + [(0, blocks * size - n)])
     i, j = np.arange(size), np.arange(blocks)
     within = np.tril(np.exp(-rate * np.abs(i[:, None] - i)))
-    partial = padded.reshape(blocks, size) @ within.T
+    partial = padded.reshape(dens.shape[:-1] + (blocks, size)) @ np.swapaxes(within, -1, -2)
     across = np.tril(np.exp(-(rate * size) * np.abs(j[:, None] - 1 - j)), -1)
-    carry = across @ partial[:, -1]
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = (partial + carry[:, None] * np.exp(-rate * (i + 1))).reshape(-1)[:n]
-    return out
+    sums = partial + (across @ partial[..., -1:]) * np.exp(-rate * (i + 1))
+    sums = sums.reshape(sums.shape[:-2] + (-1,))[..., :n]
+    return np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
 
 
 def _block_sums(masses: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -242,46 +240,92 @@ def _block_sums(masses: np.ndarray, levels: int) -> list[np.ndarray]:
     return blocks
 
 
-def _tabulated_conv_pdf(source: Tabulated, s, loss, y):
-    """Exact cellwise convolution r = [M + L + R] / C(s), elementwise in y.
+class _TabulatedGeometry:
+    """The slope-free part of a tabulated source's convolution r = [M + L + R] / C(s).
 
     M is the mass in the band [y - eps, y + eps].  L, the integral over x < y - eps
     of p(x) e^{-|s| (y - eps - x)}, is carry_k e^{-|s| d} - dens_k expm1(-|s| d) / |s|
     for y - eps in cell k at offset d, with carry_k = L at edge k; R is L of the
     mirrored source.  All are positive sums: r keeps its relative accuracy where tiny.
+    Between breaks (cell edge) -+ eps the cells at y -+ eps and M's whole cells are
+    fixed; past the outer breaks (segments 0 and -1) r = r0 e^{-|s| t}.
     """
-    h, cell_edges = source.spacing, source.edges
-    dens = source.masses / h
-    masses = dens * np.diff(cell_edges)  # each cell's mass between its own edges
-    eps, b = loss.epsilon, abs(s)
-    factor = -math.expm1(-b * h) / b
-    # padded tables, so that indices 0..cells + 1 need no clipping: edges[n] is
-    # edge n - 1 (clamped), pad[n] the density of cell n - 1 (0 off the ends),
-    # left[n] and right[n] the carries at the lower and upper edge of cell n - 1
-    edges = np.concatenate([cell_edges[:1], cell_edges, cell_edges[-1:]])
-    pad = np.concatenate([[0.0], dens, [0.0]])
-    left = _tail_sums(pad[:-1], b * h) * factor
-    right = _tail_sums(pad[:0:-1], b * h)[::-1] * factor
-    # cell p - 1 holds y - eps in [e, e'), cell q - 1 holds y + eps in (e, e'] (at eps = 0
-    # a node on an edge has q = p - 1: no band); offsets are (edge - y) -+ eps, exact if small
-    p = np.searchsorted(cell_edges, y - eps, side="right")
-    q = np.searchsorted(cell_edges, y + eps, side="left")
-    # M: the covered parts of cells p - 1 and q - 1 (one cell is counted once)
-    out = pad[p] * (np.minimum(edges[p + 1] - y, eps) + eps)
-    out += np.where(q > p, pad[q] * (y - edges[q] + eps), 0.0)
-    # L and R: the carry at the end cell's outer edge, decayed across the cell, plus its own share
-    for n, carry, d in ((p, left, y - edges[p] - eps), (q, right, edges[q + 1] - y - eps)):
-        x = np.maximum(d, 0.0, out=d)
-        x *= -b
-        out += carry[n] * np.exp(x)
-        out -= pad[n] * (np.expm1(x) / b)
-    # and M's whole cells p .. q - 2: per set bit n of their count, 2^n cells from p on
-    width = np.maximum(q - p - 1, 0)
-    for n, block in enumerate(_block_sums(masses, int(width.max(initial=0)).bit_length())):
-        bit = width & (1 << n)
-        out += np.where(bit, block.take(p, mode="clip"), 0.0)
-        p += bit
-    return out / normalizer(s, loss)
+
+    def __init__(self, source: Tabulated, loss: EpsilonLoss):
+        self.h, self.eps = h, eps = source.spacing, loss.epsilon
+        cell_edges, dens = source.edges, source.masses / h
+        # padded tables, so that indices 0..cells + 1 need no clipping: edges[n] is
+        # edge n - 1 (clamped), pad[n] the density of cell n - 1 (0 off the ends)
+        edges = np.concatenate([cell_edges[:1], cell_edges, cell_edges[-1:]])
+        self.pad = pad = np.concatenate([[0.0], dens, [0.0]])
+        self.breaks = breaks = np.unique(np.concatenate([cell_edges - eps, cell_edges + eps]))
+        self.pairs = np.stack([breaks[:-1], breaks[1:]], axis=-1)
+        self.longest = np.diff(breaks).max()
+        # cell p - 1 holds y - eps in [e, e'), cell q - 1 holds y + eps in (e, e'] (at
+        # eps = 0 a segment between the same two edges has q = p - 1: no band)
+        mid, last = 0.5 * (breaks[:-1] + breaks[1:]), cell_edges.size
+        self.p = p = np.r_[0, np.searchsorted(cell_edges, mid - eps, side="right"), last]
+        self.q = q = np.r_[0, np.searchsorted(cell_edges, mid + eps, side="left"), last]
+        # M's whole cells p .. q - 2: per set bit n of their count, 2^n cells from p on
+        width, whole, first = np.maximum(q - p - 1, 0), np.zeros(p.size), p.copy()
+        blocks = _block_sums(dens * np.diff(cell_edges), int(width.max()).bit_length())
+        for n, block in enumerate(blocks):
+            bit = width & (1 << n)
+            whole += np.where(bit, block.take(first, mode="clip"), 0.0)
+            first += bit
+        # per segment: M's end cells (cell q - 1 where it is not cell p - 1) and
+        # whole cells, then each tail's edge and density
+        self.table = np.stack([pad[p], edges[p + 1], np.where(q > p, pad[q], 0.0), edges[q], whole,
+                               edges[p], pad[p], edges[q + 1], pad[q]])
+
+    def carries(self, b, c):
+        """Per slope (|s| in b, C(s) in c): both carries at each padded edge, r's outer entropy."""
+        factor = (-np.expm1(-b * self.h) / b)[:, None]
+        sums = _tail_sums(np.stack([self.pad[:-1], self.pad[:0:-1]]), (b * self.h)[:, None])
+        left, right = sums[:, 0] * factor, sums[:, 1, ::-1] * factor
+        r0 = np.stack([right[:, 0], left[:, -1]]) / c
+        return left, right, ((r0 + _neg_r_log_r(r0)) / b).sum(axis=0)  # r0 (1 - log r0) / |s|
+
+    def terms(self, y, seg):
+        """M at points y of segments seg, then per tail its offset, cell and density."""
+        dp, top, dq, low, whole, *ends = self.table[:, seg]
+        band = dp * (np.minimum(top - y, self.eps) + self.eps) + dq * (y - low + self.eps) + whole
+        return (band, (np.maximum(y - ends[0] - self.eps, 0.0), self.p[seg], ends[1]),
+                (np.maximum(ends[2] - y - self.eps, 0.0), self.q[seg], ends[3]))
+
+    def layout(self, cap: float):
+        """Weights and terms of 8 nodes per panel no longer than cap, as (8, panels)."""
+        panels, rows = panel_edges(self.pairs, cap)
+        y, w = panel_nodes(panels, 8)
+        return w, self.terms(np.ascontiguousarray(y.reshape(-1, 8).T), rows + 1)
+
+    @functools.cached_property
+    def shared(self):
+        """The layout of every cap that splits no segment: a panel per segment."""
+        return self.layout(np.inf)
+
+
+def _tabulated_density(terms, b: float, left, right, c: float):
+    """r at one slope, from the terms of some points and that slope's carries."""
+    out, *tails = terms
+    for (d, cell, dens), carry in zip(tails, (left, right)):
+        x = np.multiply(d, -b)
+        out = out + np.exp(x) * carry[cell]
+        out -= dens * (np.expm1(x, out=x) / b)
+    return out / c
+
+
+def _tabulated_entropies(source: Tabulated, s: np.ndarray, loss: EpsilonLoss) -> np.ndarray:
+    # r is linear plus exponentials of rate |s| on each panel, and no panel is
+    # longer than 2/|s|: 8 nodes come within about 1e-10, not to round-off
+    geo, b, c = _TabulatedGeometry(source, loss), -s, _normalizer(s, loss.epsilon)
+    left, right, out = geo.carries(b, c)
+    for k in range(s.size):
+        w, terms = geo.layout(2.0 / b[k]) if 2.0 / b[k] < geo.longest else geo.shared
+        r = _tabulated_density(terms, b[k], left[k], right[k], c[k])
+        out[k] += float(np.dot(w, _neg_r_log_r(r).T.reshape(-1)))  # in panel order
+        del w, terms, r  # a split layout goes before the next slope's is built
+    return out
 
 
 def _unsupported(source: Source) -> TypeError:
@@ -301,7 +345,11 @@ def conv_pdf(source: Source, s, loss: EpsilonLoss, y) -> np.ndarray:
     if isinstance(source, Gaussian):
         return _gaussian_conv_pdf(y, _check_slopes(s), source.sigma, loss)
     if isinstance(source, Tabulated):
-        return _tabulated_conv_pdf(source, _check_slope(s), loss, y)
+        b, geometry = -_check_slope(s), _TabulatedGeometry(source, loss)
+        c = _normalizer(b, loss.epsilon)
+        left, right, _ = geometry.carries(np.array([b]), c)
+        terms = geometry.terms(y, np.searchsorted(geometry.breaks, y, side="right"))
+        return _tabulated_density(terms, b, left[0], right[0], c)
     raise _unsupported(source)
 
 
@@ -336,40 +384,21 @@ def _laplacian_far(s, alpha: float, loss: EpsilonLoss):
 
 
 def _neg_r_log_r(r):
-    r = np.maximum(r, 0.0)
-    return -np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-
-
-def _tabulated_entropy_edges(source: Tabulated, s: float, loss: EpsilonLoss):
-    """Panel edges on the real line with a break at every cell edge +- eps."""
-    cell_edges = source.edges
-    eps = loss.epsilon
-    reach = eps + _kernel_reach(s)
-    breaks = np.concatenate([[cell_edges[0] - reach], cell_edges - eps, cell_edges + eps,
-                             [cell_edges[-1] + reach]])
-    return panel_edges(np.unique(breaks), 2.0 / abs(s))
-
-
-def _tabulated_entropy(source: Tabulated, s: float, loss: EpsilonLoss) -> float:
-    # r is linear plus exponentials of rate |s| on each panel, and no panel
-    # is longer than 2/|s|, so 8 nodes reach round-off
-    yn, wq = panel_nodes(_tabulated_entropy_edges(source, s, loss), 8)
-    return float(np.dot(wq, _neg_r_log_r(conv_pdf(source, s, loss, yn))))
+    return -r * np.log(np.where(r > 0.0, r, 1.0))  # 0 where r <= 0; NaN stays NaN
 
 
 def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
     """Differential entropy of (tilted kernel * source) at each slope, by panel quadrature.
 
-    A Laplacian or Gaussian batch takes its panels from one panel_edges call
-    and its density in chunks of whole slopes of at most NODE_BUDGET nodes
-    (a slope with more is a chunk of its own); a tabulated source is taken
-    one slope at a time.  Each slope's sum is its own np.dot in panel order,
-    so its value is the same in any batch.  Source types other than
-    Laplacian, Gaussian and Tabulated raise TypeError.
+    A Laplacian or Gaussian batch takes its panels from one panel_edges call and
+    its density in chunks of whole slopes of at most NODE_BUDGET nodes (a slope
+    with more is a chunk of its own); a tabulated batch shares one
+    _TabulatedGeometry.  Each slope's sum is its own np.dot in panel order, so
+    its value is the same in any batch.  Other source types raise TypeError.
     """
     s = _check_slopes(slopes).reshape(-1)
     if isinstance(source, Tabulated):
-        return np.array([_tabulated_entropy(source, float(v), loss) for v in s])
+        return _tabulated_entropies(source, s, loss)
     far = None
     if isinstance(source, Laplacian):
         upper = _laplacian_upper(s, source.alpha, loss)

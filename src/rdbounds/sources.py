@@ -244,36 +244,47 @@ class Tabulated(Source):
         return float(spans[min(first, spans.size - 1)]) + 0.5 * self.spacing
 
 
+def _row_error(line: str) -> str:
+    """What is wrong with a line of a CSV source: '' for an (x, mass) row."""
+    parts = line.split(",")
+    if len(parts) != 2:
+        return "expected two comma-separated columns"
+    try:
+        float(parts[0]), float(parts[1])
+    except ValueError:
+        return "non-numeric row"
+    return ""
+
+
 def load_tabulated_csv(path) -> Tabulated:
     """Load a tabulated source from a two-column CSV of (x, mass) rows.
 
     An optional single header line is skipped, and so is a UTF-8 byte-order
-    mark, which would otherwise make a first data row look like a header.
-    Masses must sum to 1 within 1e-6 and are renormalized; anything further
-    off is rejected.
+    mark, which would otherwise make a first data row look like a header;
+    blank lines are skipped.  One np.loadtxt call parses the rows; a file it
+    rejects is read again line by line, to name the first bad line.  Masses
+    must sum to 1 within 1e-6 and are renormalized; anything further off is
+    rejected.
     """
-    xs: list[float] = []
-    ms: list[float] = []
     with open(path, "r", encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected two comma-separated columns")
-            try:
-                x, m = float(parts[0]), float(parts[1])
-            except ValueError:
-                if lineno == 1 and not xs:
-                    continue  # header
-                raise ValueError(f"{path}: line {lineno}: non-numeric row") from None
-            xs.append(x)
-            ms.append(m)
-    if len(xs) < 2:
+        lines = handle.read().split("\n")
+    header = _row_error(lines[0]) == "non-numeric row"
+    rows = [line for line in lines[header:] if line.strip()]
+    if not rows:
         raise ValueError(f"{path}: needs at least two data rows")
-    masses = np.asarray(ms, dtype=float)
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = np.empty((0, 0))
+    if table.shape[1] != 2:
+        for lineno, line in enumerate(lines[header:], start=header + 1):
+            if line.strip() and _row_error(line):
+                raise ValueError(f"{path}: line {lineno}: {_row_error(line)}")
+        raise ValueError(f"{path}: a row that is not two numbers")
+    if table.shape[0] < 2:
+        raise ValueError(f"{path}: needs at least two data rows")
+    masses = table[:, 1]
     total = float(masses.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"{path}: masses sum to {total!r}, outside 1 +/- 1e-6")
-    return Tabulated(grid=np.asarray(xs, dtype=float), masses=masses / total)
+    return Tabulated(grid=table[:, 0], masses=masses / total)

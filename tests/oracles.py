@@ -131,6 +131,35 @@ def ru_tabulated_quad(grid, masses, s, eps):
     return h_r - tilted_entropy_quad(s, eps)
 
 
+def tabulated_outer_entropy_quad(grid, masses, s, eps):
+    """Entropy of (g * p) over the two half-lines past the first edge - eps and
+    the last edge + eps, for a piecewise-constant density on uniform cells.
+
+    There the band [y - eps, y + eps] holds no mass, and each cell adds mass / h
+    times the kernel's exponential tail over the cell, a positive closed form;
+    -r log r is integrated by QUADPACK over the kernel's reach 60/|s|, in pieces
+    of 1/|s|.
+    """
+    b = abs(s)
+    c = 2.0 * (1.0 + b * eps) / b
+    grid = np.asarray(grid, dtype=float)
+    h = grid[1] - grid[0]
+    dens = (np.asarray(masses, dtype=float) / h).tolist()
+    cell = -math.expm1(-b * h) / (b * c)
+    total = 0.0
+    # each cell's near edge, as its distance from the outer edge on that side
+    for near in ((grid - grid[0]).tolist(), (grid[-1] - grid).tolist()):
+        def neg_r_log_r(t, near=near):
+            r = cell * math.fsum(d * math.exp(-b * (t + x)) for d, x in zip(dens, near))
+            return -r * math.log(r) if r > 0.0 else 0.0
+
+        for k in range(60):
+            val, _ = integrate.quad(neg_r_log_r, k / b, (k + 1) / b, limit=100, epsabs=0.0,
+                                    epsrel=1e-13)
+            total += val
+    return total
+
+
 def conv_cells_quad(grid, masses, s, eps, y):
     """(g * p)(y) for a piecewise-constant density, one QUADPACK integral per cell.
 

@@ -46,6 +46,9 @@ TAB = Tabulated(0.3 * np.arange(-7, 8), (8.0 - np.abs(np.arange(-7, 8))) / 64.0)
 TAB_SHIFTED = Tabulated(TAB.grid + 0.7, TAB.masses)
 # the same grid with no mass on the five middle cells, a gap over (-0.75, 0.75)
 TAB_GAP = Tabulated(TAB.grid, np.where(np.abs(TAB.grid) < 0.7, 0.0, TAB.masses) / 0.46875)
+# 15 cells whose masses grow from left to right, off centre: the two outer
+# tails of its convolution differ
+TAB_SKEW = Tabulated(TAB.grid + 0.7, np.arange(1.0, 16.0) / 120.0)
 
 
 class TestShannonLowerBound:
@@ -345,13 +348,15 @@ class TestNumericConvolution:
             err = np.abs(got[normal] - want[normal]) / want[normal]
             assert np.all(err <= 1e-15 + 2.0**-52 * rate * moment[normal] / want[normal])
 
-    def test_tabulated_block_sum_lookups_per_node(self, monkeypatch):
-        # a band of about 600 whole cells is summed from power-of-two blocks,
-        # at most ceil(log2 600) + 1 lookups per node
+    def test_tabulated_block_sum_lookups_per_segment(self, monkeypatch):
+        # a band of about 600 whole cells is summed from power-of-two blocks once
+        # per segment between the breaks (cell edge) +- eps, shared by every
+        # slope of a batch: at most ceil(log2 600) + 1 lookups per segment,
+        # however many nodes the slopes take (s = -500 splits every segment)
         src = Tabulated(np.linspace(-6.0, 6.0, 1201), np.full(1201, 1.0 / 1201))
         eps = 3.0
-        nodes, lookups = [], []
-        real_pdf, real_blocks = convolution.conv_pdf, convolution._block_sums
+        lookups = []
+        real_blocks = convolution._block_sums
 
         class CountedBlock:
             def __init__(self, block):
@@ -361,17 +366,59 @@ class TestNumericConvolution:
                 lookups.append(np.size(index))
                 return self.block.take(index, mode=mode)
 
-        def pdf(source, s, loss, y):
-            nodes.append(np.size(y))
-            return real_pdf(source, s, loss, y)
-
-        monkeypatch.setattr(convolution, "conv_pdf", pdf)
         monkeypatch.setattr(convolution, "_block_sums", lambda masses, levels: [
             CountedBlock(block) for block in real_blocks(masses, levels)])
-        convolution.conv_entropy(src, -5.0, EpsilonLoss(eps))
-        assert sum(nodes) > 0 and sum(lookups) > 0
-        per_node = math.ceil(math.log2(2.0 * eps / src.spacing)) + 1
-        assert sum(lookups) <= per_node * sum(nodes)
+        convolution.conv_entropies(src, [-5.0, -50.0, -500.0], EpsilonLoss(eps))
+        # the segments between the breaks, and the half-lines past either end
+        segments = np.unique(np.concatenate([src.edges - eps, src.edges + eps])).size + 1
+        per_segment = math.ceil(math.log2(2.0 * eps / src.spacing)) + 1
+        assert 0 < sum(lookups) <= per_segment * segments
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0])
+    @pytest.mark.parametrize("s", [-0.5, -50.0, -1e4])
+    def test_tabulated_pdf_is_the_entropy_density(self, monkeypatch, eps, s):
+        # conv_pdf looks up each point's segment and shares the entropy route's
+        # terms and carries, so at the route's own nodes it is the route's
+        # density bit for bit, split panels (s = -1e4) or not
+        loss = EpsilonLoss(eps)
+        seen = {}
+        real_nodes, real_density = convolution.panel_nodes, convolution._tabulated_density
+
+        def nodes(panels, n):
+            seen["y"], w = real_nodes(panels, n)
+            return seen["y"], w
+
+        def density(terms, b, left, right, c):
+            seen["r"] = real_density(terms, b, left, right, c)
+            return seen["r"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(convolution, "panel_nodes", nodes)
+            patch.setattr(convolution, "_tabulated_density", density)
+            convolution.conv_entropy(TAB_SKEW, s, loss)
+        # the route's nodes are (8, panels); seen["y"] is in panel order
+        want = seen["r"].T.reshape(-1)
+        assert want.size == seen["y"].size > 0
+        np.testing.assert_array_equal(conv_pdf(TAB_SKEW, s, loss, seen["y"]), want)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0])
+    @pytest.mark.parametrize("s", [-1e-3, -0.5, -50.0, -1e4])
+    def test_tabulated_outer_tails_match_quadrature(self, eps, s):
+        # past the outer breaks r = r0 e^{-|s| t}, whose entropy is the closed
+        # form r0 (1 - log r0) / |s| a side; the oracle integrates the cell sum
+        loss = EpsilonLoss(eps)
+        b = np.array([-s])
+        geometry = convolution._TabulatedGeometry(TAB_SKEW, loss)
+        _, _, tails = geometry.carries(b, convolution._normalizer(b, eps))
+        want = oracles.tabulated_outer_entropy_quad(TAB_SKEW.grid, TAB_SKEW.masses, s, eps)
+        assert tails[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_neg_r_log_r_keeps_nan(self):
+        # a NaN density must reach the sum, where the cell is noted non-finite;
+        # a zero or round-off negative density adds nothing
+        got = convolution._neg_r_log_r(np.array([np.nan, 0.0, -1e-300, 0.5]))
+        assert np.isnan(got[0]) and got[1] == 0.0 and got[2] == 0.0
+        assert got[3] == -0.5 * math.log(0.5)
 
 
 class TestConvolutionUpperBound:

@@ -472,6 +472,32 @@ class TestBatchedColumn:
                 assert row == want
 
 
+    def test_nan_tabulated_density_noted_on_its_own_row(self, capsys, monkeypatch, tmp_path):
+        # a NaN density at one slope of a tabulated batch makes that slope's
+        # entropy NaN, not a plausible finite R_U, and its row is noted
+        path = tmp_path / "src.csv"
+        x = np.linspace(-2.0, 2.0, 41)
+        m = np.exp(-x * x) / np.exp(-x * x).sum()
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), m.tolist())))
+        args = ["--source", f"csv:{path}", "--bounds", "ru,rge", "--grid-count", "5"]
+        clean = self.rows(capsys, *args)
+        bad = -float(np.geomspace(0.5, 50, 5)[2])
+        real_density = convolution._tabulated_density
+
+        def density(terms, b, left, right, c):
+            out = real_density(terms, b, left, right, c)
+            return np.full_like(out, np.nan) if b == -bad else out
+
+        monkeypatch.setattr(convolution, "_tabulated_density", density)
+        rows = self.rows(capsys, *args)
+        for row, want in zip(rows, clean):
+            if float(row[0]) == float(f"{bad:.12g}"):
+                assert row[3] == "" and row[-1] == "ru_error:non-finite"
+                assert row[:3] + row[4:-1] == want[:3] + want[4:-1]
+            else:
+                assert row == want
+
+
 class TestDmax:
     def test_laplacian_chain(self, capsys):
         code, out, _ = run_cli(

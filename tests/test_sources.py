@@ -244,6 +244,43 @@ class TestCsvLoading:
         assert tab.grid.tolist() == x.tolist()
         np.testing.assert_allclose(tab.masses, m, rtol=1e-15)
 
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "src.csv"
+        path.write_bytes(b"x,mass\r\n-1.0,0.25\r\n\r\n0.0,0.5\r\n1.0,0.25\r\n")
+        tab = load_tabulated_csv(path)
+        assert tab.grid.tolist() == [-1.0, 0.0, 1.0]
+        assert tab.masses.tolist() == [0.25, 0.5, 0.25]
+
+    def test_byte_order_mark_before_header_and_blank_lines(self, tmp_path):
+        # blank lines, some of spaces and tabs, and blanks around the fields
+        # are skipped; a bad row is named by its line in the file, header and
+        # blank lines counted
+        path = tmp_path / "src.csv"
+        rows = "-1.0, 0.25\n \n0.0 ,0.5\n\t\n\n1.0,0.25\n  \n"
+        path.write_text("x,mass\n" + rows, encoding="utf-8-sig")
+        tab = load_tabulated_csv(path)
+        assert tab.grid.tolist() == [-1.0, 0.0, 1.0]
+        assert tab.masses.tolist() == [0.25, 0.5, 0.25]
+        path.write_text("x,mass\n" + rows + "2.0,zero\n", encoding="utf-8-sig")
+        with pytest.raises(ValueError, match="line 9: non-numeric"):
+            load_tabulated_csv(path)
+
+    def test_rejects_third_column(self, tmp_path):
+        path = tmp_path / "src.csv"
+        path.write_text("x,mass\n-1.0,0.5\n\n0.0,0.25,0.1\n1.0,0.25\n")
+        with pytest.raises(ValueError, match="line 4: expected two comma-separated"):
+            load_tabulated_csv(path)
+        path.write_text("x,mass,note\n-1.0,0.5\n1.0,0.5\n")
+        with pytest.raises(ValueError, match="line 1: expected two comma-separated"):
+            load_tabulated_csv(path)
+
+    def test_needs_two_rows(self, tmp_path):
+        path = tmp_path / "src.csv"
+        for text in ("", "x,mass\n", "x,mass\n\n  \n", "0.0,1.0\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="at least two data rows"):
+                load_tabulated_csv(path)
+
     def test_renormalizes_small_defects(self, tmp_path):
         path = tmp_path / "src.csv"
         path.write_text("-1.0,0.2500004\n0.0,0.5\n1.0,0.25\n")
