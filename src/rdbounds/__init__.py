@@ -6,82 +6,16 @@ bound is strict for Laplacian and Gaussian sources, and an independent
 discretized Blahut-Arimoto solver used to certify the bound sandwich.
 """
 
-from .ba import BAProblem, BAResult, auto_span, ba_curve, ba_iterate, build_problem
-from .bounds import (
-    RDPoint,
-    analytic_upper_bound_laplacian,
-    convolution_upper_bound,
-    convolution_upper_bounds,
-    gaussian_entropy_bound,
-    laplacian_dmax_gaps,
-    laplacian_upper_bound_terms,
-    shannon_lower_bound,
-    slb_at_matched_slope,
-    slb_zero,
-    trivial_upper_bound_laplacian,
-)
-from .convolution import conv_entropies, conv_entropy, conv_pdf, laplacian_conv_pdf
-from .sources import Gaussian, Laplacian, Source, Tabulated, load_tabulated_csv
-from .spectral import (
-    first_witness_index,
-    gaussian_deconvolution_density,
-    laplace_cf,
-    laplacian_witness,
-    mixture_cf,
-    tilted_cf,
-)
-from .tilted import (
-    EpsilonLoss,
-    distortion_of_slope,
-    normalizer,
-    slope_of_distortion,
-    tilted_cdf,
-    tilted_entropy,
-    tilted_pdf,
-    tilted_variance,
-)
+from . import ba, bounds, convolution, sources, spectral, tilted
+from .ba import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .convolution import *  # noqa: F403
+from .sources import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .tilted import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BAProblem",
-    "BAResult",
-    "EpsilonLoss",
-    "Gaussian",
-    "Laplacian",
-    "RDPoint",
-    "Source",
-    "Tabulated",
-    "analytic_upper_bound_laplacian",
-    "auto_span",
-    "ba_curve",
-    "ba_iterate",
-    "build_problem",
-    "conv_entropies",
-    "conv_entropy",
-    "conv_pdf",
-    "convolution_upper_bound",
-    "convolution_upper_bounds",
-    "distortion_of_slope",
-    "first_witness_index",
-    "gaussian_deconvolution_density",
-    "gaussian_entropy_bound",
-    "laplace_cf",
-    "laplacian_conv_pdf",
-    "laplacian_dmax_gaps",
-    "laplacian_upper_bound_terms",
-    "laplacian_witness",
-    "load_tabulated_csv",
-    "mixture_cf",
-    "normalizer",
-    "shannon_lower_bound",
-    "slb_at_matched_slope",
-    "slb_zero",
-    "slope_of_distortion",
-    "tilted_cdf",
-    "tilted_cf",
-    "tilted_entropy",
-    "tilted_pdf",
-    "tilted_variance",
-    "trivial_upper_bound_laplacian",
-]
+# each layer's __all__ is the one list of its public names
+__all__ = [*ba.__all__, *bounds.__all__, *convolution.__all__, *sources.__all__,
+           *spectral.__all__, *tilted.__all__]

@@ -60,15 +60,15 @@ def _add_common(parser):
                         help="Gaussian variance (default 1.0)")
     parser.add_argument("--epsilon", type=float, default=0.0,
                         help="half-width of the forgiven error band (default 0)")
-    parser.add_argument("--units", choices=["nats", "bits"], default="nats")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads of bounds/ba sweeps, one share of the grid "
-                             "each (default 1; 0: machine parallelism)")
+                             "each, at most the CPU count (default 1; 0: all CPUs)")
 
 
 def _add_grid(parser):
+    parser.add_argument("--units", choices=["nats", "bits"], default="nats")
     parser.add_argument("--grid-min", type=float, default=0.5)
     parser.add_argument("--grid-max", type=float, default=200.0)
     parser.add_argument("--grid-count", type=int, default=20)
@@ -337,7 +337,8 @@ def cmd_bounds(args, selected=None) -> int:
     if not selected:
         raise ConfigError("at least one bound must be selected")
     points = _grid_points(args, loss)
-    workers = min(args.threads or os.cpu_count() or 1, len(points))
+    cpus = os.cpu_count() or 1
+    workers = min(args.threads or cpus, cpus, len(points))
 
     def sweep(share):
         return _sweep_rows(source, loss, selected, share, args.ba_n, args)

@@ -42,6 +42,9 @@ NODE_BUDGET = 2048
 # Gauss-Legendre nodes per Gaussian panel: for eps from 0 to 3 sigma and
 # |s| sigma in [1e-4, 1e5] the 20-node R_U is within 1e-14 of the 64-node one
 GAUSSIAN_NODES = 20
+# most nodes of one tabulated R_U layout (about 160 MB at its peak); a slope
+# that needs more raises ValueError, which the CLI notes on that slope's row
+TABULATED_NODE_LIMIT = 2**21
 
 
 def _kernel_reach(s):
@@ -293,16 +296,24 @@ class _TabulatedGeometry:
         return (band, (np.maximum(y - ends[0] - self.eps, 0.0), self.p[seg], ends[1]),
                 (np.maximum(ends[2] - y - self.eps, 0.0), self.q[seg], ends[3]))
 
-    def layout(self, cap: float):
-        """Weights and terms of 8 nodes per panel no longer than cap, as (8, panels)."""
+    def layout(self, b: float):
+        """Weights and terms of 8 nodes per panel no longer than 2/|s| (|s| = b), as
+        (8, panels); every b whose cap splits no segment shares one layout."""
+        cap = 2.0 / b
+        nodes = 8.0 * np.maximum(np.ceil(np.diff(self.breaks) / cap), 1.0).sum()
+        if nodes > TABULATED_NODE_LIMIT:
+            raise ValueError(f"tabulated R_U at |s| = {b:.2g} needs {nodes:.2g} nodes "
+                             f"(limit {TABULATED_NODE_LIMIT})")
+        return self._nodes(cap) if cap < self.longest else self.shared
+
+    def _nodes(self, cap: float):
         panels, rows = panel_edges(self.pairs, cap)
         y, w = panel_nodes(panels, 8)
         return w, self.terms(np.ascontiguousarray(y.reshape(-1, 8).T), rows + 1)
 
     @functools.cached_property
     def shared(self):
-        """The layout of every cap that splits no segment: a panel per segment."""
-        return self.layout(np.inf)
+        return self._nodes(np.inf)  # a panel per segment
 
 
 def _tabulated_density(terms, b: float, left, right, c: float):
@@ -321,7 +332,7 @@ def _tabulated_entropies(source: Tabulated, s: np.ndarray, loss: EpsilonLoss) ->
     geo, b, c = _TabulatedGeometry(source, loss), -s, _normalizer(s, loss.epsilon)
     left, right, out = geo.carries(b, c)
     for k in range(s.size):
-        w, terms = geo.layout(2.0 / b[k]) if 2.0 / b[k] < geo.longest else geo.shared
+        w, terms = geo.layout(b[k])
         r = _tabulated_density(terms, b[k], left[k], right[k], c[k])
         out[k] += float(np.dot(w, _neg_r_log_r(r).T.reshape(-1)))  # in panel order
         del w, terms, r  # a split layout goes before the next slope's is built

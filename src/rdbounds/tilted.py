@@ -18,7 +18,6 @@ __all__ = [
     "EpsilonLoss",
     "normalizer",
     "tilted_pdf",
-    "tilted_cdf",
     "tilted_entropy",
     "tilted_variance",
     "distortion_of_slope",
@@ -62,30 +61,6 @@ def tilted_pdf(x, s: float, loss: EpsilonLoss):
     s = _check_slope(s)
     x = np.asarray(x, dtype=float)
     out = np.exp(s * np.maximum(np.abs(x) - loss.epsilon, 0.0)) / normalizer(s, loss)
-    return out if out.ndim else float(out)
-
-
-def tilted_cdf(t, s: float, loss: EpsilonLoss):
-    """Cumulative distribution of the tilted density (exact piecewise form)."""
-    s = _check_slope(s)
-    eps = loss.epsilon
-    b = abs(s)
-    c = normalizer(s, loss)
-    t = np.asarray(t, dtype=float)
-    # the middle branch is built in place on every lane and each tail only on
-    # its own lanes (sign -1: the upper tail 1 - e^{-b(t - eps)} / (b C)), so
-    # no exponent overflows and no value np.where would discard is computed;
-    # the lower tail is written last and wins at t = eps = 0
-    out = np.asarray(t + eps)
-    out /= c
-    out += 1.0 / (b * c)
-    for lanes, sign in ((t >= eps, -1.0), (t <= -eps, 1.0)):
-        x = t[lanes]
-        x += sign * eps
-        x *= sign * b
-        np.exp(x, out=x)
-        x /= b * c
-        out[lanes] = x if sign > 0.0 else np.subtract(1.0, x, out=x)
     return out if out.ndim else float(out)
 
 

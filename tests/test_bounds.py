@@ -520,6 +520,13 @@ class TestConvolutionUpperBound:
         assert convolution_upper_bound(src, s, EpsilonLoss(eps)).raw_rate == pytest.approx(
             want, abs=1e-10)
 
+    def test_tabulated_layout_over_the_node_limit_raises(self):
+        # the node count is taken in floating point before any panel exists,
+        # so neither a huge allocation nor an overflowed integer count follows
+        three = Tabulated(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+        with pytest.raises(ValueError, match="nodes"):
+            convolution_upper_bound(three, -1e300, EpsilonLoss(0.0))
+
     def test_continuous_through_matched_slope(self):
         pts = [convolution_upper_bound(LAP, s, EpsilonLoss(0.1)) for s in MATCHED]
         rates = np.array([pt.raw_rate for pt in pts])

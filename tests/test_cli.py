@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rdbounds
-from rdbounds import bounds, convolution
+from rdbounds import bounds, cli, convolution
 from rdbounds.cli import COLUMNS, build_parser, main
 from rdbounds.sources import Gaussian, Laplacian
 from rdbounds.tilted import EpsilonLoss, distortion_of_slope
@@ -87,6 +87,30 @@ class TestBoundsSweep:
                   for n in ("1", "4")]
         assert single[0] == single[1] and single[0][0] == 0
         assert len(parse_csv(single[0][1])[1]) == 1
+
+    def test_workers_capped_at_cpu_count(self, capsys, monkeypatch):
+        # a pool that records its size and maps serially starts no thread
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        want = run_cli(capsys, *BOUNDS_ARGS, "--grid-count", "7")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        for threads in ("5000", "0", "2"):
+            assert run_cli(capsys, *BOUNDS_ARGS, "--grid-count", "7", "--threads", threads) == want
+        assert sizes == [3, 3, 2]
 
     def test_memoised_parser_keeps_no_state(self, capsys, tmp_path):
         # one in-process call after another prints what a fresh process prints
@@ -357,6 +381,20 @@ class TestConfigHandling:
         code, out, _ = run_cli(capsys, "ba", "--config", str(cfg), "--format", "csv")
         assert code == 0 and len(parse_csv(out)[1]) == 2
 
+    def test_units_only_on_table_commands(self, capsys, tmp_path):
+        for command in ("dmax", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--units", "bits"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+        # a config file's units key is skipped where the flag does not act
+        cfg = tmp_path / "units.cfg"
+        cfg.write_text("units=bits\n")
+        assert run_cli(capsys, "dmax", "--config", str(cfg)) == run_cli(capsys, "dmax")
+        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg), "--format", "json",
+                               "--grid-count", "1", "--bounds", "slb")
+        assert code == 0 and json.loads(out)["units"] == "bits"
+
     def test_key_no_subcommand_takes_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("epsilon=0.1\n\ngrid-cnt=2\n")
@@ -471,6 +509,23 @@ class TestBatchedColumn:
             else:
                 assert row == want
 
+
+    def test_tabulated_slope_over_the_node_limit_noted_on_its_own_row(self, capsys,
+                                                                      monkeypatch, tmp_path):
+        # on 3 cells of width 1 at eps = 0.1 the layout at |s| = 200 has 2 560
+        # nodes and at |s| = 27.1 360; a limit between them fails only the
+        # steepest row
+        path = tmp_path / "tab3.csv"
+        path.write_text("x,mass\n-1.0,0.25\n0.0,0.5\n1.0,0.25\n")
+        args = ["--source", f"csv:{path}", "--grid-max", "200", "--grid-count", "4"]
+        clean = self.rows(capsys, *args)
+        monkeypatch.setattr(convolution, "TABULATED_NODE_LIMIT", 1000)
+        rows = self.rows(capsys, *args)
+        assert rows[0][0] == "-200"
+        assert rows[0][3] == "" and rows[0][-1] == (
+            "ru_error:tabulated R_U at |s| = 2e+02 needs 2.6e+03 nodes (limit 1000)")
+        assert rows[0][:3] + rows[0][4:-1] == clean[0][:3] + clean[0][4:-1]
+        assert rows[1:] == clean[1:]
 
     def test_nan_tabulated_density_noted_on_its_own_row(self, capsys, monkeypatch, tmp_path):
         # a NaN density at one slope of a tabulated batch makes that slope's

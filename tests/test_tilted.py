@@ -8,7 +8,6 @@ from rdbounds import (
     distortion_of_slope,
     normalizer,
     slope_of_distortion,
-    tilted_cdf,
     tilted_entropy,
     tilted_pdf,
     tilted_variance,
@@ -140,30 +139,3 @@ class TestVariance:
             oracles.tilted_variance_quad(-3.0, 0.2), abs=1e-9
         )
 
-
-class TestCdf:
-    @pytest.mark.parametrize("s,eps", [(-1.0, 0.1), (-6.0, 0.5), (-50.0, 0.0)])
-    def test_against_quadrature(self, s, eps):
-        loss = EpsilonLoss(eps)
-        for t in (-2.0, -eps, 0.0, eps / 2, eps, 1.3):
-            want = oracles.tilted_quad(s, eps, lambda x, t=t: 1.0 if x <= t else 0.0)
-            assert tilted_cdf(t, s, loss) == pytest.approx(want, abs=1e-9)
-
-    def test_limits(self):
-        loss = EpsilonLoss(0.2)
-        assert tilted_cdf(-1e6, -1.0, loss) == pytest.approx(0.0, abs=1e-200)
-        assert tilted_cdf(1e6, -1.0, loss) == pytest.approx(1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("s,eps", [(-0.5, 0.1), (-200.0, 3.0), (-5.0, 0.0)])
-    def test_branches_match_the_where_form(self, s, eps):
-        # the three closed-form branches evaluated on every lane and picked by
-        # np.where, the lower tail first; the CDF computes each only on its own
-        # lanes, which must not change a single bit
-        b, c = abs(s), 2.0 * (1.0 + abs(s) * eps) / abs(s)
-        t = np.concatenate([np.linspace(-eps - 2.0, eps + 2.0, 2001), [-eps, eps, 0.0, 40.0]])
-        with np.errstate(over="ignore"):
-            lo = np.exp(np.minimum(b * (t + eps), 0.0)) / (b * c)
-            hi = 1.0 - np.exp(np.minimum(-b * (t - eps), 0.0)) / (b * c)
-        want = np.where(t <= -eps, lo, np.where(t >= eps, hi, 1.0 / (b * c) + (t + eps) / c))
-        np.testing.assert_array_equal(tilted_cdf(t, s, EpsilonLoss(eps)), want)
-        assert tilted_cdf(t[3], s, EpsilonLoss(eps)) == want[3]
