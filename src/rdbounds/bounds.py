@@ -32,6 +32,7 @@ from .sources import Source
 from .tilted import (
     EpsilonLoss,
     _check_slope,
+    _positive,
     distortion_of_slope,
     normalizer,
     tilted_entropy,
@@ -81,9 +82,7 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     Returns the raw (possibly negative) value; it is strictly decreasing in d.
     The eps = 0 branch is the exact limit source_entropy - log(2 e d).
     """
-    d = float(d)
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError(f"distortion must be a finite positive real, got {d!r}")
+    d = _positive(d, "distortion")
     eps = loss.epsilon
     if eps == 0.0:
         return source_entropy - math.log(2.0 * d) - 1.0
@@ -174,9 +173,7 @@ def trivial_upper_bound_laplacian(d: float, alpha: float) -> float:
     Upper-bounds the band-forgiving rate for every eps >= 0; zero for
     d >= 1/alpha.
     """
-    d = float(d)
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError(f"distortion must be a finite positive real, got {d!r}")
+    d = _positive(d, "distortion")
     if d > 1.0 / alpha:
         return 0.0
     return max(-math.log(alpha * d), 0.0)

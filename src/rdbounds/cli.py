@@ -5,7 +5,7 @@ Subcommands
 bounds   sweep selected bounds over a slope or distortion grid (CSV/JSON)
 dmax     report the zero-crossing of the lower bound and both zero-rate
          distortions, asserting their ordering
-ba       Blahut-Arimoto sweep only (same table schema)
+ba       Blahut-Arimoto sweep only: ``bounds --bounds ba``
 verify   cross-module consistency checks; exit 0 iff all pass
 
 ``_sweep_rows`` is the one place a command computes a bound cell: for each
@@ -18,9 +18,10 @@ rows; ``_emit`` is the one place a cell is formatted.
 The CSV schema is fixed: ``s,D,R_slb,R_u,R_au,R_ge,R_trivial,R_ba,flags``.
 Rates are nats by default (--units bits divides by ln 2 on output).  Values
 clamped to zero keep their raw value inside the flags column, e.g.
-``rge_clamped:-0.43``.  Inapplicable or failed cells are left empty and
-flagged rather than aborting the sweep.  Exit codes: 0 success, 1 invariant
-failure, 2 configuration error.
+``rge_clamped:-0.43``; a flags cell that holds a comma is quoted.
+Inapplicable or failed cells are left empty and flagged rather than aborting
+the sweep.  Exit codes: 0 success, 1 invariant failure, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,12 +40,13 @@ import numpy as np
 from . import ba as ba_mod
 from . import bounds as bounds_mod
 from .sources import Gaussian, Laplacian, Source, load_tabulated_csv
-from .tilted import (EpsilonLoss, distortion_of_slope, slope_of_distortion, tilted_entropy,
-                     tilted_pdf)
+from .tilted import (EpsilonLoss, _kernel_reach, distortion_of_slope, slope_of_distortion,
+                     tilted_entropy, tilted_pdf)
 
 COLUMNS = ["s", "D", "R_slb", "R_u", "R_au", "R_ge", "R_trivial", "R_ba", "flags"]
 ALL_BOUNDS = ("slb", "ru", "rau", "rge", "trivial", "ba")
 RATE_COLUMNS = dict(zip(ALL_BOUNDS, COLUMNS[2:-1]))  # bound -> its column
+_CSV_SPECIAL = re.compile('[,"\r\n]')  # a CSV field holding one is quoted
 
 
 class ConfigError(Exception):
@@ -98,18 +101,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ba(p_bounds)
     p_bounds.add_argument("--bounds", default="slb,ru,rau,rge,trivial",
                           help="comma list from {slb,ru,rau,rge,trivial,ba}")
+    p_bounds.set_defaults(handler=cmd_bounds)
 
     p_dmax = sub.add_parser("dmax", help="report zero-rate distortions and the SLB zero")
     _add_common(p_dmax)
+    p_dmax.set_defaults(handler=cmd_dmax)
 
     p_ba = sub.add_parser("ba", help="Blahut-Arimoto sweep only")
     _add_common(p_ba)
     _add_grid(p_ba)
     _add_ba(p_ba)
+    p_ba.set_defaults(handler=cmd_bounds, bounds="ba")
 
     p_verify = sub.add_parser("verify", help="run cross-module consistency checks")
     _add_common(p_verify)
     _add_ba(p_verify)
+    p_verify.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -168,24 +175,23 @@ def _splice_config(argv, parser) -> list[str]:
     return rest[:at + 1] + _load_config(path, rest[at], options) + rest[at + 1:]
 
 
-def make_source(args) -> Source:
-    kind = args.source
-    if kind == "laplacian":
-        return Laplacian(alpha=args.alpha)
-    if kind == "gaussian":
-        return Gaussian(sigma2=args.sigma2)
-    if kind.startswith("csv:"):
-        try:
-            return load_tabulated_csv(kind[4:])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load tabulated source: {exc}") from exc
-    raise ConfigError(f"unknown source kind: {kind!r}")
-
-
 def _source_and_loss(args) -> tuple[Source, EpsilonLoss]:
-    """The configured source and loss; an out-of-range parameter is a configuration error."""
+    """The configured source and loss; an unknown or unreadable source and an
+    out-of-range parameter are configuration errors."""
+    kind = args.source
     try:
-        return make_source(args), EpsilonLoss(args.epsilon)
+        if kind == "laplacian":
+            source = Laplacian(alpha=args.alpha)
+        elif kind == "gaussian":
+            source = Gaussian(sigma2=args.sigma2)
+        elif kind.startswith("csv:"):
+            try:
+                source = load_tabulated_csv(kind[4:])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot load tabulated source: {exc}") from exc
+        else:
+            raise ConfigError(f"unknown source kind: {kind!r}")
+        return source, EpsilonLoss(args.epsilon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -206,9 +212,7 @@ def _grid_points(args, loss) -> list[tuple[float, float]]:
         raise ConfigError("grid bounds must be nonzero (slope magnitudes or distortions)")
     if lo > hi:
         lo, hi = hi, lo
-    if count == 1:
-        values = np.array([lo])
-    elif args.grid_scale == "log":
+    if args.grid_scale == "log":
         values = np.geomspace(lo, hi, count)
     else:
         values = np.linspace(lo, hi, count)
@@ -311,8 +315,11 @@ def _emit(rows, args) -> str:
         return json.dumps({"columns": COLUMNS, "units": args.units, "rows": table},
                           indent=2) + "\n"
     lines = [",".join(COLUMNS)]
-    lines += [",".join([_fmt(cells[c]) for c in COLUMNS[:-1]] + [cells["flags"]])
-              for cells in table]
+    for cells in table:
+        flags = cells["flags"]  # a note may quote an exception's comma; numbers never do
+        if _CSV_SPECIAL.search(flags):
+            flags = '"' + flags.replace('"', '""') + '"'
+        lines.append(",".join([_fmt(cells[c]) for c in COLUMNS[:-1]] + [flags]))
     return "\n".join(lines) + "\n"
 
 
@@ -327,10 +334,9 @@ def _write(text, args):
         sys.stdout.write(text)
 
 
-def cmd_bounds(args, selected=None) -> int:
+def cmd_bounds(args) -> int:
     source, loss = _source_and_loss(args)
-    if selected is None:
-        selected = tuple(b.strip() for b in args.bounds.split(",") if b.strip())
+    selected = tuple(b.strip() for b in args.bounds.split(",") if b.strip())
     unknown = set(selected) - set(ALL_BOUNDS)
     if unknown:
         raise ConfigError(f"unknown bounds: {sorted(unknown)}; choose from {ALL_BOUNDS}")
@@ -353,10 +359,6 @@ def cmd_bounds(args, selected=None) -> int:
     rows.sort(key=lambda row: row["D"])
     _write(_emit(rows, args), args)
     return 0
-
-
-def cmd_ba(args) -> int:
-    return cmd_bounds(args, selected=("ba",))
 
 
 def cmd_dmax(args) -> int:
@@ -429,7 +431,7 @@ def _verify_checks(source, loss, args) -> list[dict]:
     loss_cf = EpsilonLoss(eps_cf)
     worst = 0.0
     for s in (-1.0, -5.0, -20.0):
-        upper = eps_cf + 45.0 / abs(s)
+        upper = eps_cf + _kernel_reach(s)
         for omega in (0.3, 1.0, 3.7, 10.0):
             period = 2.0 * math.pi / omega
             edges = panel_edges([0.0, eps_cf, upper], min(period / 3.0, 2.0))
@@ -496,13 +498,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_splice_config(argv, parser))
         if args.threads < 0:
             raise ConfigError("threads must be >= 0 (0 means machine parallelism)")
-        handler = {
-            "bounds": cmd_bounds,
-            "dmax": cmd_dmax,
-            "ba": cmd_ba,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

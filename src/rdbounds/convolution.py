@@ -32,9 +32,9 @@ import numpy as np
 
 from .quadrature import panel_edges, panel_nodes
 from .sources import Gaussian, Laplacian, Source, Tabulated
-from .tilted import EpsilonLoss, _check_slope
+from .tilted import EpsilonLoss, _check_slope, _check_slopes, _kernel_reach, _normalizer
 
-__all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropy", "conv_entropies"]
+__all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropies"]
 
 # nodes per chunk of a batched entropy: the largest temporary, the erfcx
 # powers of a Gaussian chunk, is 5 x 2048 doubles = 80 KiB
@@ -45,11 +45,6 @@ GAUSSIAN_NODES = 20
 # most nodes of one tabulated R_U layout (about 160 MB at its peak); a slope
 # that needs more raises ValueError, which the CLI notes on that slope's row
 TABULATED_NODE_LIMIT = 2**21
-
-
-def _kernel_reach(s):
-    # beyond eps + 45/|s| the kernel is below e^-45 of its peak
-    return 45.0 / np.abs(s)
 
 
 def _entropy_edges(s, loss: EpsilonLoss, upper, smooth_scale: float, far=None):
@@ -72,21 +67,6 @@ def _entropy_edges(s, loss: EpsilonLoss, upper, smooth_scale: float, far=None):
                                  fine_hi, far, upper)
     lengths = np.broadcast_arrays(coarse, fine, fine, coarse, decay)
     return panel_edges(np.stack(breaks, axis=-1), np.stack(lengths, axis=-1))
-
-
-def _check_slopes(s) -> np.ndarray:
-    """s as a float array, each entry a finite negative real (or ValueError)."""
-    s = np.asarray(s, dtype=float)
-    bad = ~((s < 0.0) & (s > -np.inf))
-    if bad.any():
-        raise ValueError(f"slope s must be a finite negative real, got {float(s[bad].flat[0])!r}")
-    return s
-
-
-def _normalizer(s, eps: float):
-    """C(s) of tilted.normalizer, elementwise over an array of valid slopes."""
-    b = np.abs(s)
-    return 2.0 * (1.0 + b * eps) / b
 
 
 def _exp_divided_difference(u, s, alpha: float):
@@ -438,8 +418,3 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
             out[k] = 2.0 * float(np.dot(wq[a:b], f[a:b]))
         first = last
     return out
-
-
-def conv_entropy(source: Source, s: float, loss: EpsilonLoss) -> float:
-    """Differential entropy of (tilted kernel * source): conv_entropies at one slope."""
-    return float(conv_entropies(source, [_check_slope(s)], loss)[0])

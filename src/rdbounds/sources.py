@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .tilted import EpsilonLoss
+from .tilted import EpsilonLoss, _positive
 
 __all__ = [
     "Source",
@@ -70,9 +70,6 @@ class Source(ABC):
     @abstractmethod
     def variance(self) -> float: ...
 
-    def mean(self) -> float:
-        return 0.0
-
     @abstractmethod
     def d_max(self, loss: EpsilonLoss) -> float:
         """Smallest distortion achievable at zero rate: inf_y E[loss(X - y)]."""
@@ -93,10 +90,7 @@ class Laplacian(Source):
     alpha: float
 
     def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or a <= 0.0:
-            raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", _positive(self.alpha, "alpha"))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -126,10 +120,7 @@ class Gaussian(Source):
     sigma2: float
 
     def __post_init__(self):
-        v = float(self.sigma2)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"sigma2 must be a finite positive real, got {self.sigma2!r}")
-        object.__setattr__(self, "sigma2", v)
+        object.__setattr__(self, "sigma2", _positive(self.sigma2, "sigma2"))
 
     @property
     def sigma(self) -> float:

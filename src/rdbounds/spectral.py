@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .sources import Gaussian
 from .tilted import EpsilonLoss, _check_slope
 
 __all__ = [
@@ -101,10 +102,8 @@ def gaussian_deconvolution_density(x, sigma2: float, s: float):
     density and the lower bound cannot be tight for Gaussian sources.
     """
     s = _check_slope(s)
-    sigma2 = float(sigma2)
-    if not math.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be a finite positive real, got {sigma2!r}")
+    source = Gaussian(sigma2)
+    sigma2 = source.sigma2
     x = np.asarray(x, dtype=float)
-    p = np.exp(-0.5 * x * x / sigma2) / math.sqrt(2.0 * math.pi * sigma2)
-    out = p * (1.0 + 1.0 / (s * s * sigma2) - x * x / (s * s * sigma2 * sigma2))
+    out = source.pdf(x) * (1.0 + 1.0 / (s * s * sigma2) - x * x / (s * s * sigma2 * sigma2))
     return out if out.ndim else float(out)

@@ -43,6 +43,14 @@ class EpsilonLoss:
         return out if out.ndim else float(out)
 
 
+def _positive(value, name: str) -> float:
+    """value as a float, or ValueError naming it unless it is finite and > 0."""
+    v = float(value)
+    if not math.isfinite(v) or v <= 0.0:
+        raise ValueError(f"{name} must be a finite positive real, got {v!r}")
+    return v
+
+
 def _check_slope(s) -> float:
     s = float(s)
     if not math.isfinite(s) or s >= 0.0:
@@ -50,25 +58,42 @@ def _check_slope(s) -> float:
     return s
 
 
+def _check_slopes(s) -> np.ndarray:
+    """s as a float array, each entry a finite negative real (or ValueError)."""
+    s = np.asarray(s, dtype=float)
+    bad = ~((s < 0.0) & (s > -np.inf))
+    if bad.any():
+        raise ValueError(f"slope s must be a finite negative real, got {float(s[bad].flat[0])!r}")
+    return s
+
+
+def _normalizer(s, eps: float):
+    """C(s) = 2(1 + |s| eps)/|s| of valid slopes, elementwise over an array."""
+    b = abs(s)
+    return 2.0 * (1.0 + b * eps) / b
+
+
+def _kernel_reach(s):
+    # beyond eps + 45/|s| the kernel is below e^-45 of its peak
+    return 45.0 / abs(s)
+
+
 def normalizer(s: float, loss: EpsilonLoss) -> float:
     """Normalizing constant C(s) = integral of exp(s * loss) = 2(1 + |s| eps)/|s|."""
-    s = _check_slope(s)
-    return 2.0 * (1.0 + abs(s) * loss.epsilon) / abs(s)
+    return _normalizer(_check_slope(s), loss.epsilon)
 
 
 def tilted_pdf(x, s: float, loss: EpsilonLoss):
     """Density exp(s * loss(x)) / C(s); flat top, exponential tails."""
     s = _check_slope(s)
-    x = np.asarray(x, dtype=float)
-    out = np.exp(s * np.maximum(np.abs(x) - loss.epsilon, 0.0)) / normalizer(s, loss)
+    out = np.exp(s * loss(x)) / _normalizer(s, loss.epsilon)
     return out if out.ndim else float(out)
 
 
 def tilted_entropy(s: float, loss: EpsilonLoss) -> float:
     """Differential entropy of the tilted density: log C(s) + 1/(1 + |s| eps)."""
     s = _check_slope(s)
-    u = abs(s) * loss.epsilon
-    return math.log(2.0 * (1.0 + u) / abs(s)) + 1.0 / (1.0 + u)
+    return math.log(_normalizer(s, loss.epsilon)) + 1.0 / (1.0 + abs(s) * loss.epsilon)
 
 
 def distortion_of_slope(s: float, loss: EpsilonLoss) -> float:
@@ -86,9 +111,7 @@ def slope_of_distortion(d: float, loss: EpsilonLoss) -> float:
     eps = 0 takes its own exact branch (s = -1/D); the eps > 0 root is written
     in quotient form, which is free of cancellation for d >> eps.
     """
-    d = float(d)
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError(f"distortion must be a finite positive real, got {d!r}")
+    d = _positive(d, "distortion")
     eps = loss.epsilon
     if eps == 0.0:
         return -1.0 / d
@@ -104,6 +127,6 @@ def tilted_variance(s: float, loss: EpsilonLoss) -> float:
     s = _check_slope(s)
     eps = loss.epsilon
     b = abs(s)
-    c = normalizer(s, loss)
+    c = _normalizer(s, eps)
     return (2.0 / c) * (eps**3 / 3.0 + (eps**2 + 2.0 * eps / b + 2.0 / (b * b)) / b)
 

@@ -26,7 +26,7 @@ from rdbounds import (
     tilted_entropy,
     trivial_upper_bound_laplacian,
 )
-from rdbounds import convolution
+from rdbounds import convolution, tilted
 from rdbounds.bounds import _lambertw0
 from rdbounds.quadrature import panel_edges
 
@@ -395,7 +395,7 @@ class TestNumericConvolution:
         with monkeypatch.context() as patch:
             patch.setattr(convolution, "panel_nodes", nodes)
             patch.setattr(convolution, "_tabulated_density", density)
-            convolution.conv_entropy(TAB_SKEW, s, loss)
+            convolution.conv_entropies(TAB_SKEW, [s], loss)[0]
         # the route's nodes are (8, panels); seen["y"] is in panel order
         want = seen["r"].T.reshape(-1)
         assert want.size == seen["y"].size > 0
@@ -409,7 +409,7 @@ class TestNumericConvolution:
         loss = EpsilonLoss(eps)
         b = np.array([-s])
         geometry = convolution._TabulatedGeometry(TAB_SKEW, loss)
-        _, _, tails = geometry.carries(b, convolution._normalizer(b, eps))
+        _, _, tails = geometry.carries(b, tilted._normalizer(b, eps))
         want = oracles.tabulated_outer_entropy_quad(TAB_SKEW.grid, TAB_SKEW.masses, s, eps)
         assert tails[0] == pytest.approx(want, rel=1e-14, abs=0.0)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -162,6 +164,25 @@ class TestBoundsSweep:
         assert float(row[2]) == 0.0
         assert "slb_clamped:" in row[-1]
         assert float(row[-1].split("slb_clamped:")[1].split(";")[0]) < 0.0
+
+    def test_flags_cell_holding_a_comma_is_quoted(self, capsys, monkeypatch):
+        # a note carries raw exception text, which may hold a comma
+        bad = -float(np.geomspace(0.5, 40, 6)[2])
+        real_bound = bounds.gaussian_entropy_bound
+
+        def rge(source, s, loss):
+            if s == bad:
+                raise ValueError("needs 3 nodes, over 2")
+            return real_bound(source, s, loss)
+
+        monkeypatch.setattr(bounds, "gaussian_entropy_bound", rge)
+        code, out, _ = run_cli(capsys, *BOUNDS_ARGS)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == COLUMNS and len(rows) == 7
+        assert all(len(row) == len(COLUMNS) for row in rows)
+        flagged = [row for row in rows if row[-1] == "rge_error:needs 3 nodes, over 2"]
+        assert len(flagged) == 1 and flagged[0][5] == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, *BOUNDS_ARGS, "--format", "json")

@@ -1,16 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rdbounds import (
     EpsilonLoss,
+    Gaussian,
+    Laplacian,
     distortion_of_slope,
+    gaussian_deconvolution_density,
     normalizer,
+    shannon_lower_bound,
     slope_of_distortion,
     tilted_entropy,
     tilted_pdf,
     tilted_variance,
+    trivial_upper_bound_laplacian,
 )
 
 import oracles
@@ -139,3 +145,26 @@ class TestVariance:
             oracles.tilted_variance_quad(-3.0, 0.2), abs=1e-9
         )
 
+
+class TestPositiveParameters:
+    """Every parameter that must be a finite positive real is refused, by name."""
+
+    CALLS = {
+        "Laplacian": ("alpha", lambda v: Laplacian(alpha=v)),
+        "Gaussian": ("sigma2", lambda v: Gaussian(sigma2=v)),
+        "shannon_lower_bound": ("distortion",
+                                lambda v: shannon_lower_bound(v, 1.0, EpsilonLoss(0.1))),
+        "trivial_upper_bound_laplacian": ("distortion",
+                                          lambda v: trivial_upper_bound_laplacian(v, 1.0)),
+        "slope_of_distortion": ("distortion", lambda v: slope_of_distortion(v, EpsilonLoss(0.1))),
+        "gaussian_deconvolution_density": ("sigma2",
+                                           lambda v: gaussian_deconvolution_density(0.5, v, -2.0)),
+    }
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("callee", sorted(CALLS))
+    def test_refused_with_its_name(self, callee, value):
+        name, call = self.CALLS[callee]
+        want = f"{name} must be a finite positive real, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call(value)
