@@ -159,7 +159,7 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
         q = q_next
 
     distortion = float(np.dot(p[p_idx], kernel_d.apply(q)[p_idx] / z[p_idx]))
-    rate = max(problem.s * distortion + objective, 0.0)
+    rate = max(0.0, problem.s * distortion + objective)
     gap = math.log(float(np.max(kernel.apply(p / z))))
     return BAResult(
         q_mass=q,

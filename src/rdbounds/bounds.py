@@ -73,7 +73,7 @@ class RDPoint:
 
 
 def _rate_point(d: float, raw: float, s: float) -> RDPoint:
-    return RDPoint(d=d, r=max(raw, 0.0), s=s, raw_rate=raw)
+    return RDPoint(d=d, r=max(0.0, raw), s=s, raw_rate=raw)
 
 
 def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> float:
@@ -174,9 +174,7 @@ def trivial_upper_bound_laplacian(d: float, alpha: float) -> float:
     d >= 1/alpha.
     """
     d = _positive(d, "distortion")
-    if d > 1.0 / alpha:
-        return 0.0
-    return max(-math.log(alpha * d), 0.0)
+    return max(0.0, -math.log(alpha * d))
 
 
 def convolution_upper_bounds(source: Source, slopes, loss: EpsilonLoss) -> list[RDPoint]:

@@ -8,12 +8,12 @@ dmax     report the zero-crossing of the lower bound and both zero-rate
 ba       Blahut-Arimoto sweep only: ``bounds --bounds ba``
 verify   cross-module consistency checks; exit 0 iff all pass
 
-``_sweep_rows`` is the one place a command computes a bound cell: for each
-grid point it returns a row of raw (unclamped) rates, at most one note per
-bound and the BA point.  It takes the R_U column of its points in one batched
-call and every other cell point by point.  ``bounds``/``ba`` give it one share
-of the grid per ``--threads`` worker and ``verify`` reads its checks off its
-rows; ``_emit`` is the one place a cell is formatted.
+``_pairs`` turns grid values into (s, D) points and ``_sweep_rows`` computes
+every bound cell: per point, a row of raw (unclamped) rates, at most one note
+per bound and the BA point, with the R_U column in one batched call.
+``bounds``/``ba`` give it one share of the grid per ``--threads`` worker and
+``verify`` reads its checks off its rows.  ``_emit`` alone formats a cell and
+``_report`` alone writes output.
 
 The CSV schema is fixed: ``s,D,R_slb,R_u,R_au,R_ge,R_trivial,R_ba,flags``.
 Rates are nats by default (--units bits divides by ln 2 on output).  Values
@@ -197,8 +197,7 @@ def _source_and_loss(args) -> tuple[Source, EpsilonLoss]:
 
 
 def _grid_points(args, loss) -> list[tuple[float, float]]:
-    """(s, d) pairs of the sweep, one per grid value; a value whose pair is
-    not s < 0 < D, both finite, is a configuration error."""
+    """(s, d) pairs of the sweep, one per grid value, from validated grid bounds."""
     lo, hi = args.grid_min, args.grid_max
     count = args.grid_count
     if count < 1:
@@ -212,13 +211,16 @@ def _grid_points(args, loss) -> list[tuple[float, float]]:
         raise ConfigError("grid bounds must be nonzero (slope magnitudes or distortions)")
     if lo > hi:
         lo, hi = hi, lo
-    if args.grid_scale == "log":
-        values = np.geomspace(lo, hi, count)
-    else:
-        values = np.linspace(lo, hi, count)
+    spaced = np.geomspace if args.grid_scale == "log" else np.linspace
+    return _pairs(spaced(lo, hi, count), args.grid_var, loss)
+
+
+def _pairs(values, var, loss) -> list[tuple[float, float]]:
+    """(s, d) pairs of slope magnitudes (``var="s"``) or distortions (``var="d"``);
+    a value whose pair is not s < 0 < D, both finite, is a configuration error."""
     points = []
     for v in values:
-        if args.grid_var == "s":
+        if var == "s":
             s = -float(v)
             d = distortion_of_slope(s, loss)
         else:
@@ -236,24 +238,17 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _ru_column(source, loss, points):
-    """Raw R_U of every point from one batch, or None when the batch raises.
-
-    A slope whose layout fails takes its batch down with it; the caller then
-    takes each slope alone, so that the failure is noted on its own row.
-    """
-    try:
-        return [pt.raw_rate for pt in
-                bounds_mod.convolution_upper_bounds(source, [s for s, _ in points], loss)]
-    except (ValueError, ArithmeticError):
-        return None
-
-
 def _sweep_rows(source, loss, selected, points, ba_n, args):
     """One row per (s, d) point: the raw rate of each column (None where not
     computed), at most one note per bound and the BA point; failures note,
-    never abort."""
-    ru = _ru_column(source, loss, points) if "ru" in selected else None
+    never abort.  R_U is one batch over the points; a slope whose layout fails
+    takes the batch down, and then each slope is taken alone, so that its
+    failure is noted on its own row."""
+    try:
+        ru = (bounds_mod.convolution_upper_bounds(source, [s for s, _ in points], loss)
+              if "ru" in selected else None)
+    except (ValueError, ArithmeticError):
+        ru = None
     rows = []
     for i, (s, d) in enumerate(points):
         row = {"s": s, "D": d, **dict.fromkeys(RATE_COLUMNS.values()), "notes": {}, "ba": None}
@@ -261,7 +256,7 @@ def _sweep_rows(source, loss, selected, points, ba_n, args):
         cells = {
             "slb": lambda: bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss),
             "ru": lambda: (ru[i] if ru is not None
-                           else bounds_mod.convolution_upper_bound(source, s, loss).raw_rate),
+                           else bounds_mod.convolution_upper_bound(source, s, loss)).raw_rate,
             "rau": lambda: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha,
                                                                       loss).raw_rate,
             "rge": lambda: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
@@ -295,8 +290,8 @@ def _sweep_rows(source, loss, selected, points, ba_n, args):
     return rows
 
 
-def _emit(rows, args) -> str:
-    """Clamp at zero, convert units and flag every cell of the raw rows."""
+def _emit(rows, args):
+    """Clamp at zero, convert units and flag every cell of the raw rows; report the table."""
     scale = math.log(2.0) if args.units == "bits" else 1.0
     table = []
     for row in rows:
@@ -304,26 +299,31 @@ def _emit(rows, args) -> str:
         flags = []
         for bound, col in RATE_COLUMNS.items():
             raw = row[col]
-            cells[col] = None if raw is None else max(raw, 0.0) / scale
+            cells[col] = None if raw is None else max(0.0, raw) / scale
             if bound in row["notes"]:
                 flags.append(row["notes"][bound])
             elif raw is not None and raw < 0.0:
                 flags.append(f"{bound}_clamped:{raw:.6g}")
         cells["flags"] = ";".join(flags)
         table.append(cells)
-    if args.format == "json":
-        return json.dumps({"columns": COLUMNS, "units": args.units, "rows": table},
-                          indent=2) + "\n"
-    lines = [",".join(COLUMNS)]
-    for cells in table:
-        flags = cells["flags"]  # a note may quote an exception's comma; numbers never do
-        if _CSV_SPECIAL.search(flags):
-            flags = '"' + flags.replace('"', '""') + '"'
-        lines.append(",".join([_fmt(cells[c]) for c in COLUMNS[:-1]] + [flags]))
-    return "\n".join(lines) + "\n"
+
+    def lines():
+        yield ",".join(COLUMNS)
+        for cells in table:
+            flags = cells["flags"]  # a note may quote an exception's comma; numbers never do
+            if _CSV_SPECIAL.search(flags):
+                flags = '"' + flags.replace('"', '""') + '"'
+            yield ",".join([_fmt(cells[c]) for c in COLUMNS[:-1]] + [flags])
+
+    # the CSV lines are a generator, so a JSON sweep builds no CSV text
+    _report(args, {"columns": COLUMNS, "units": args.units, "rows": table}, lines())
 
 
-def _write(text, args):
+def _report(args, payload, lines):
+    """The one writer: ``payload`` as JSON under ``--format json``, otherwise
+    ``lines``, to ``--output`` or stdout; an unwritable output is a
+    configuration error."""
+    text = (json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -357,7 +357,7 @@ def cmd_bounds(args) -> int:
         for i, share in enumerate(shares):
             rows[i::workers] = share
     rows.sort(key=lambda row: row["D"])
-    _write(_emit(rows, args), args)
+    _emit(rows, args)
     return 0
 
 
@@ -366,7 +366,6 @@ def cmd_dmax(args) -> int:
     d_eps = source.d_max(loss)
     d_zero = source.d_max(EpsilonLoss(0.0))
     report = {"epsilon": loss.epsilon, "d_max_eps": d_eps, "d_max_zero": d_zero}
-    code = 0
     try:
         root = bounds_mod.slb_zero(source, loss)
         report["slb_zero"] = root
@@ -379,26 +378,16 @@ def cmd_dmax(args) -> int:
             # equal for a Laplacian: allow round-off relative to the scale
             ordered = root <= d_eps * (1.0 + 1e-12) and d_eps <= d_zero + 1e-12
         report["ordered"] = bool(ordered)
-        if not ordered:
-            code = 1
     except ValueError as exc:
         report["slb_zero"] = None
         report["error"] = str(exc)
         report["ordered"] = False
-        code = 1
-    if args.format == "json":
-        _write(json.dumps(report, indent=2) + "\n", args)
-    else:
-        lines = []
-        if report.get("slb_zero") is not None:
-            lines.append(f"slb_zero   = {report['slb_zero']:.12g}")
-        else:
-            lines.append(f"slb_zero   = unavailable ({report['error']})")
-        lines.append(f"d_max_eps  = {d_eps:.12g}")
-        lines.append(f"d_max_zero = {d_zero:.12g}")
-        lines.append("ordering   = " + ("OK" if report["ordered"] else "VIOLATED"))
-        _write("\n".join(lines) + "\n", args)
-    return code
+    zero = (f"{report['slb_zero']:.12g}" if report["slb_zero"] is not None
+            else f"unavailable ({report['error']})")
+    lines = [f"slb_zero   = {zero}", f"d_max_eps  = {d_eps:.12g}", f"d_max_zero = {d_zero:.12g}",
+             "ordering   = " + ("OK" if report["ordered"] else "VIOLATED")]
+    _report(args, report, lines)
+    return 0 if report["ordered"] else 1
 
 
 def _verify_checks(source, loss, args) -> list[dict]:
@@ -406,20 +395,18 @@ def _verify_checks(source, loss, args) -> list[dict]:
     from .quadrature import integrate, panel_edges
     from .spectral import tilted_cf
 
-    def rows(selected, slopes, n=args.ba_n):
-        return _sweep_rows(source, loss, selected,
-                           [(s, distortion_of_slope(s, loss)) for s in slopes], n, args)
+    def rows(selected, values, n=args.ba_n, var="s"):
+        return _sweep_rows(source, loss, selected, _pairs(values, var, loss), n, args)
 
     # closed form of the lower bound against its slope-parametric route
     h_p = source.differential_entropy()
     ds = np.geomspace(1e-3, max(source.d_max(loss), 1e-2), 50)
-    slb_rows = _sweep_rows(source, loss, ("slb",), [(slope_of_distortion(d, loss), d) for d in ds],
-                           args.ba_n, args)
+    slb_rows = rows(("slb",), ds, var="d")
     worst = max(abs(r["R_slb"] - (h_p - tilted_entropy(r["s"], loss))) for r in slb_rows)
     checks = [_limit_check("slb_two_route", "max_abs_diff", worst, 1e-12)]
 
     # upper-bound dominance at matched slopes
-    dominance = rows(("ru", "rau", "rge"), -np.geomspace(0.5, 50.0, 12))
+    dominance = rows(("ru", "rau", "rge"), np.geomspace(0.5, 50.0, 12))
     for name, col in (("dominance_ru_rge", "R_ge"), ("dominance_ru_rau", "R_au")):
         if col == "R_ge" or isinstance(source, Laplacian):
             worst = max((r["R_u"] - r[col] for r in dominance if r["R_u"] is not None),
@@ -441,16 +428,16 @@ def _verify_checks(source, loss, args) -> list[dict]:
 
     # BA sandwich between the lower bound and the (clamped) convolution upper
     # bound; a row whose BA or R_U cell failed fails the check instead
-    sandwich = rows(("slb", "ru", "ba"), (-2.0, -5.0, -20.0))
+    sandwich = rows(("slb", "ru", "ba"), (2.0, 5.0, 20.0))
     excess = [e for r in sandwich if r["R_ba"] is not None and r["R_u"] is not None
-              for e in (r["R_slb"] - r["R_ba"], r["R_ba"] - max(r["R_u"], 0.0))]
+              for e in (r["R_slb"] - r["R_ba"], r["R_ba"] - max(0.0, r["R_u"]))]
     checks.append(_limit_check("ba_sandwich", "max_excess", max(excess, default=None), 2e-2,
                                sandwich))
 
     # grid-convergence of the BA point at a reference slope: the odd n nearest
     # half of --ba-n against the sandwich's own s = -5 solve
     n_coarse = max((args.ba_n // 2) | 1, 3)
-    pair = rows(("ba",), (-5.0,), n_coarse) + sandwich[1:2]
+    pair = rows(("ba",), (5.0,), n_coarse) + sandwich[1:2]
     coarse, fine = (r["ba"] for r in pair)
     drift = (None if any(r["R_ba"] is None for r in pair)
              else max(abs(coarse.d - fine.d), abs(coarse.r - fine.r)))
@@ -478,16 +465,11 @@ def cmd_verify(args) -> int:
     passed = all(c["passed"] for c in checks)
     payload = {"source": args.source, "epsilon": loss.epsilon, "n": args.ba_n,
                "checks": checks, "passed": passed}
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2) + "\n", args)
-    else:
-        lines = []
-        for c in checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            detail = {k: v for k, v in c.items() if k not in ("name", "passed")}
-            lines.append(f"{status} {c['name']} {json.dumps(detail)}")
-        lines.append("result: " + ("PASS" if passed else "FAIL"))
-        _write("\n".join(lines) + "\n", args)
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} "
+             + json.dumps({k: v for k, v in c.items() if k not in ("name", "passed")})
+             for c in checks]
+    lines.append("result: " + ("PASS" if passed else "FAIL"))
+    _report(args, payload, lines)
     return 0 if passed else 1
 
 

@@ -32,14 +32,19 @@ __all__ = [
 def _check_grid(grid, masses, grid_name: str, mass_name: str):
     """Read-only copies of a uniform grid and its masses, the masses renormalized.
 
-    The grid must be 1-d, strictly increasing and uniform to 1e-8; the masses
-    must be finite, nonnegative and sum to 1 within 1e-9.
+    The grid must be 1-d with finite values, steps and span, strictly increasing
+    and uniform to 1e-8; the masses finite, nonnegative, summing to 1 within 1e-9.
     """
     grid = np.asarray(grid, dtype=float).copy()
     masses = np.asarray(masses, dtype=float).copy()
     if grid.ndim != 1 or grid.size < 2 or masses.shape != grid.shape:
         raise ValueError(f"{grid_name} and {mass_name} must be 1-d arrays of equal length >= 2")
-    steps = np.diff(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(grid)
+        span = grid[-1] - grid[0]
+    # NaN fails every comparison below, and an overflowing span makes the mean step inf
+    if not (np.all(np.isfinite(steps)) and np.isfinite(span)):
+        raise ValueError(f"{grid_name} values, steps and span must be finite")
     if np.any(steps <= 0):
         raise ValueError(f"{grid_name} must be strictly increasing")
     h = float(steps.mean())

@@ -57,6 +57,13 @@ class TestBuildProblem:
         prob = build_problem(shifted, EpsilonLoss(0.1), -5.0, n=2001)
         assert abs(float(np.dot(prob.p_mass, prob.x_grid)) - shifted.mean()) < 1e-3
 
+    @pytest.mark.parametrize("grid", [[-1.0, math.nan], [-math.inf, 1.0], [-1e308, 1e308],
+                                      [-1e308, 0.0, 1e308]])
+    def test_rejects_non_finite_grid(self, grid):
+        with pytest.raises(ValueError, match="x_grid values, steps and span must be finite"):
+            BAProblem(x_grid=grid, p_mass=np.full(len(grid), 1.0 / len(grid)), y_grid=grid,
+                      loss=EpsilonLoss(0.1), s=-1.0)
+
     def test_slope_is_stored_as_a_float(self):
         # the validated float replaces what was passed: a numeric string solves,
         # and a numpy slope yields plain-float rates and distortions

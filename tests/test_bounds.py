@@ -153,6 +153,11 @@ class TestTrivialBound:
         with pytest.raises(ValueError):
             trivial_upper_bound_laplacian(0.0, ALPHA)
 
+    def test_zero_rate_is_positive_zero(self):
+        # -log(1.0) is -0.0; the clamp must not keep its sign
+        for d in (1.0, 2.0, 1e300):
+            assert math.copysign(1.0, trivial_upper_bound_laplacian(d, 1.0)) == 1.0
+
     def test_dominates_lower_bound(self):
         # band-forgiving rate <= absolute-error rate, so slb <= -log(alpha d)
         loss = EpsilonLoss(0.1)

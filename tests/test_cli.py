@@ -184,6 +184,19 @@ class TestBoundsSweep:
         flagged = [row for row in rows if row[-1] == "rge_error:needs 3 nodes, over 2"]
         assert len(flagged) == 1 and flagged[0][5] == ""
 
+    def test_zero_rate_prints_unsigned(self, capsys):
+        # -log(alpha D) at alpha D = 1 is -0.0; the table prints 0, not -0
+        argv = ["bounds", "--alpha", "1", "--grid-min", "1", "--grid-max", "1",
+                "--grid-count", "1", "--bounds", "trivial"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows == [["-1", "1", "", "", "", "", "0", "", ""]]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        (row,) = json.loads(out)["rows"]
+        assert code == 0 and "-0" not in out
+        assert row["R_trivial"] == 0.0 and math.copysign(1.0, row["R_trivial"]) == 1.0
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, *BOUNDS_ARGS, "--format", "json")
         assert code == 0
@@ -354,6 +367,16 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "dmax", "--source", f"csv:{bad}", "--epsilon", "0.1")
         assert code == 2
         assert "tabulated" in err
+
+    @pytest.mark.parametrize("command", ["dmax", "bounds"])
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_csv_grid_is_config_error(self, capsys, tmp_path, command, x):
+        path = tmp_path / "src.csv"
+        path.write_text(f"x,mass\n-1.0,0.5\n{x},0.5\n")
+        code, out, err = run_cli(capsys, command, "--source", f"csv:{path}", "--epsilon", "0.1")
+        assert code == 2 and out == ""
+        assert err == ("error: cannot load tabulated source: "
+                       "grid values, steps and span must be finite\n")
 
     def test_unknown_bound_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--bounds", "slb,nope", "--epsilon", "0.1")

@@ -216,6 +216,15 @@ class TestTabulatedValidation:
         with pytest.raises(ValueError, match="sum"):
             Tabulated(grid=np.array([0.0, 1.0]), masses=np.array([0.6, 0.5]))
 
+    # NaN fails every comparison, the step of [-1e308, 1e308] overflows to
+    # inf, and so does the span of [-1e308, 0, 1e308], whose steps are finite
+    @pytest.mark.parametrize("grid", [[-1.0, math.nan], [-math.inf, 1.0], [-1e308, 1e308],
+                                      [1.0, math.inf], [math.nan, math.nan],
+                                      [-1e308, 0.0, 1e308]])
+    def test_non_finite_grid(self, grid):
+        with pytest.raises(ValueError, match="grid values, steps and span must be finite"):
+            Tabulated(grid=np.array(grid), masses=np.full(len(grid), 1.0 / len(grid)))
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             Laplacian(0.0)
@@ -291,6 +300,13 @@ class TestCsvLoading:
         path = tmp_path / "src.csv"
         path.write_text("-1.0,0.3\n0.0,0.5\n1.0,0.25\n")
         with pytest.raises(ValueError, match="1e-6"):
+            load_tabulated_csv(path)
+
+    @pytest.mark.parametrize("x", ["nan", "-inf"])
+    def test_rejects_non_finite_x(self, tmp_path, x):
+        path = tmp_path / "src.csv"
+        path.write_text(f"x,mass\n-1.0,0.5\n{x},0.5\n")
+        with pytest.raises(ValueError, match="grid values, steps and span must be finite"):
             load_tabulated_csv(path)
 
     def test_rejects_malformed(self, tmp_path):
