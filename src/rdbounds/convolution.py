@@ -12,9 +12,12 @@ polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.
 
 The entropy of r is a Gauss-Legendre panel sum per slope.  A Laplacian or
 Gaussian batch, 64 or GAUSSIAN_NODES = 20 nodes per panel, takes its panels
-from one ``panel_edges`` call; past the Gaussian's end, and past the point
-where a Laplacian's r is one exponential of rate |s| < alpha, they grow with
-the kernel's decay length 1/|s|, so their number does not grow as s -> 0.
+from one ``panel_edges`` call.  Both share one far-field rule: past the
+source's 1e-16 tail span plus eps, panels grow with the kernel's decay length
+1/|s| out to 45/|s| further, so their number does not grow as s -> 0 (up to
+|s| = 1e15 alpha, at most 7 a Laplacian slope at alpha eps <= 3; up to 1e15 /
+sigma, 11 a Gaussian one at eps <= 3 sigma).  A slope whose reach 45/|s|
+overflows, |s| below about 2.5e-307, raises ValueError before any panel exists.
 Their nodes are evaluated in chunks of whole slopes of at most NODE_BUDGET
 nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.
 A tabulated batch shares one slope-free geometry: 8-node panels between the
@@ -211,7 +214,7 @@ def _tail_sums(dens: np.ndarray, rate) -> np.ndarray:
     partial = padded.reshape(dens.shape[:-1] + (blocks, size)) @ np.swapaxes(within, -1, -2)
     across = np.tril(np.exp(-(rate * size) * np.abs(j[:, None] - 1 - j)), -1)
     sums = partial + (across @ partial[..., -1:]) * np.exp(-rate * (i + 1))
-    sums = sums.reshape(sums.shape[:-2] + (-1,))[..., :n]
+    sums = sums.reshape(sums.shape[:-2] + (blocks * size,))[..., :n]
     return np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
 
 
@@ -344,36 +347,6 @@ def conv_pdf(source: Source, s, loss: EpsilonLoss, y) -> np.ndarray:
     raise _unsupported(source)
 
 
-def _laplacian_upper(s, alpha: float, loss: EpsilonLoss):
-    """Half-line limit past which r is below ~e^-40 of its scale (elementwise in s)."""
-    rate = np.minimum(alpha, np.abs(s))
-    # the divided difference is at most min(u, 1/|s + alpha|) e^{-rate u}; u
-    # is capped at the 40/rate decay length the limit has to cover.  Past
-    # |s| ~ 1e154 the product below overflows, and the term it divides is 0
-    with np.errstate(over="ignore"):
-        coef = (2.0 * alpha - s) / (alpha - s) + 2.0 * alpha**2 / (
-            (alpha - s) * np.maximum(np.abs(s + alpha), rate / 40.0))
-    c = _normalizer(s, loss.epsilon)
-    return loss.epsilon + (40.0 + np.log(coef) + np.maximum(0.0, -np.log(2.0 * c))) / rate
-
-
-def _laplacian_far(s, alpha: float, loss: EpsilonLoss):
-    """For |s| < alpha, the |y| past which r is one exponential of rate |s|.
-
-    There the e^{-alpha u} terms of the outer branch of laplacian_conv_pdf
-    are below e^-40 of its e^{s u} term; at |s| >= alpha r decays at rate
-    alpha, and inf keeps the source-scale panels out to the upper limit.
-    Elementwise in s.
-    """
-    weak = s > -alpha
-    s = np.where(weak, s, -0.5 * alpha)  # a stand-in where the value is inf
-    grow = 2.0 * alpha**2 / ((alpha - s) * (alpha + s))  # e^{s u} coefficient
-    # the e^{-alpha u} coefficients: the c1 term (|c1| < 1), the middle one
-    # and the divided difference's own
-    fade = 1.0 + (2.0 * alpha - s) / (alpha - s) + grow
-    return np.where(weak, loss.epsilon + (40.0 + np.log(fade / grow)) / (alpha + s), np.inf)
-
-
 def _neg_r_log_r(r):
     return -r * np.log(np.where(r > 0.0, r, 1.0))  # 0 where r <= 0; NaN stays NaN
 
@@ -390,17 +363,19 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
     s = _check_slopes(slopes).reshape(-1)
     if isinstance(source, Tabulated):
         return _tabulated_entropies(source, s, loss)
-    far = None
     if isinstance(source, Laplacian):
-        upper = _laplacian_upper(s, source.alpha, loss)
-        far = _laplacian_far(s, source.alpha, loss)
         smooth, n = 15.0 / source.alpha, 64
     elif isinstance(source, Gaussian):
-        far = source.tail_span(1e-16) + loss.epsilon
-        upper = far + _kernel_reach(s)
         smooth, n = source.sigma, GAUSSIAN_NODES
     else:
         raise _unsupported(source)
+    # past far r is the source's mass spread by the kernel's tail; 45/|s|
+    # overflows for |s| below about 2.5e-307, where no layout is finite
+    far = source.tail_span(1e-16) + loss.epsilon
+    with np.errstate(over="ignore"):
+        upper = far + _kernel_reach(s)
+    if np.isinf(upper).any():
+        raise ValueError(f"R_U's kernel reach 45/|s| overflows at s = {float(s.max())!r}")
     # r is even, so integrate over the half line and double
     panels, chain = _entropy_edges(s, loss, upper, smooth, far)
     starts = np.searchsorted(chain, np.arange(s.size + 1)).tolist()

@@ -51,7 +51,7 @@ def panel_edges(breaks, max_len):
     k = ceil((b - a) / max_len) equal panels whose edges are the points
     np.linspace(a, b, k + 1) would give, bit for bit.  Non-increasing pairs
     are skipped, so degenerate segments (e.g. an insensitivity band of width
-    zero) collapse silently.
+    zero) collapse silently.  A NaN or infinite break raises ValueError.
 
     ``breaks`` is one chain, and max_len one length or one per pair: the
     result is the edge array.  Or ``breaks`` is 2-D, one chain per row, and
@@ -61,6 +61,9 @@ def panel_edges(breaks, max_len):
     edge array.
     """
     breaks = np.asarray(breaks, dtype=float)
+    # a NaN would fail the b > a test below and drop its pairs unnoticed
+    if not np.isfinite(breaks).all():
+        raise ValueError("panel breaks must be finite")
     a, b = breaks[..., :-1], breaks[..., 1:]
     keep = b > a
     max_len = np.broadcast_to(np.asarray(max_len, dtype=float), a.shape)[keep]
@@ -91,7 +94,9 @@ def panel_nodes(edges, n: int = 64):
     edges = np.asarray(edges, dtype=float)
     lo, hi = (edges[:-1], edges[1:]) if edges.ndim == 1 else edges
     x, w = gauss_legendre(n)
-    mid = 0.5 * (hi + lo)
+    # halves first: rounds as 0.5 (hi + lo) does for normal edges, and stays
+    # finite for edges past half the float range (45/|s| at |s| ~ 3e-307)
+    mid = 0.5 * hi + 0.5 * lo
     half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()

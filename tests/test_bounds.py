@@ -510,9 +510,10 @@ class TestConvolutionUpperBound:
         self.panels_bounded_then_small_allocation(
             monkeypatch, LAP, eps, (-0.5, -1e-2, -1e-6, -1e-300), 20)
 
-    @pytest.mark.parametrize("s", [-0.5, -1e-2])
+    @pytest.mark.parametrize("s", [-0.5, -1e-2, -ALPHA / 2, -0.999 * ALPHA, -1.001 * ALPHA])
     def test_laplacian_weak_slopes_match_nested_quadrature(self, s):
-        # past the far break r is one exponential of rate |s| on 30/|s| panels
+        # past the far break r is one exponential of rate |s| on 30/|s| panels;
+        # near |s| = alpha it is two exponentials of close rates there
         want = oracles.ru_quad(LAP.pdf, s, 0.1, support=40.0, kinks=(0.0,))
         assert convolution_upper_bound(LAP, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-10)
@@ -558,6 +559,10 @@ class TestBatchedUpperBound:
         batch = convolution_upper_bounds(src, shuffled, loss)
         assert [pt.s for pt in batch] == list(shuffled)
         assert all(pt.raw_rate == alone[pt.s] for pt in batch)
+
+    @pytest.mark.parametrize("src", [LAP, GAU, TAB], ids=["laplacian", "gaussian", "tabulated"])
+    def test_empty_batch_is_empty(self, src):
+        assert convolution_upper_bounds(src, [], EpsilonLoss(0.1)) == []
 
     @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
     def test_slope_value_independent_of_chunk(self, monkeypatch, src):

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,27 @@ class TestBatchedColumn:
                 assert row[3] == "" and row[-1] == "ru_error:math range error"
             else:
                 assert row == want
+
+    @pytest.mark.parametrize("source", ["laplacian", "gaussian"])
+    @pytest.mark.parametrize("eps", ["0", "10"])
+    def test_overflowing_kernel_reach_noted_on_its_own_row(self, capsys, source, eps):
+        # 45/|s| overflows at |s| = 1e-307 (D = 1e307 is in the grid domain):
+        # that row notes the reach and keeps its SLB cell, no numpy warning
+        # is raised, and the rows at |s| = 3.2e-307, whose reach is past half
+        # the float range, and 1e-306 keep their values
+        argv = ["bounds", "--source", source, "--epsilon", eps, "--grid-min", "1e-307",
+                "--grid-max", "1e-306", "--grid-count", "3", "--bounds", "slb,ru"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and caught == []
+        rows = {row[0]: row for row in parse_csv(out)[1]}
+        assert rows["-1e-307"][2] == "0" and rows["-1e-307"][3] == ""
+        assert rows["-1e-307"][-1].endswith(
+            ";ru_error:R_U's kernel reach 45/|s| overflows at s = -1e-307")
+        for s in ("-3.16227766017e-307", "-1e-306"):
+            # R_U -> 0 as s -> 0; what is left is the round-off of two entropies near 705
+            assert float(rows[s][3]) < 1e-12 and "ru_error" not in rows[s][-1]
 
 
     def test_tabulated_slope_over_the_node_limit_noted_on_its_own_row(self, capsys,

@@ -54,6 +54,19 @@ class TestPanelEdges:
         np.testing.assert_array_equal(panel_edges([0.0, 1.0, 1.0, 2.0], [0.5, 9.0, 1.0]),
                                       [0.0, 0.5, 1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_break(self, bad):
+        # unchecked, a NaN fails the b > a test and drops its pairs: the
+        # integral over [0, nan, 1] comes out 0, and a 2-D row with it gets no panels
+        with pytest.raises(ValueError, match="finite"):
+            panel_edges([0.0, bad, 1.0], 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            panel_edges([[0.0, 0.5, 1.0], [0.0, bad, 1.0]], 0.5)
+
+    def test_nodes_finite_past_half_the_float_range(self):
+        nodes, weights = panel_nodes([1e308, 1.7e308], 8)
+        assert np.all((nodes > 1e308) & (nodes < 1.7e308)) and np.all(np.isfinite(weights))
+
     def test_rows_lay_out_each_rows_panels(self):
         # one call over a stack of non-decreasing chains gives, row by row,
         # the consecutive pairs of each row's own edge array
