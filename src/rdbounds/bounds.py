@@ -84,12 +84,20 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     """
     d = _positive(d, "distortion")
     eps = loss.epsilon
+    # past d of about 9e307 the sums below overflow; there they are taken at
+    # half scale, plus log 2, and every finite sum keeps its own expression
     if eps == 0.0:
-        return source_entropy - math.log(2.0 * d) - 1.0
+        twice = 2.0 * d
+        return source_entropy - (math.log(twice) if twice < math.inf
+                                 else math.log(d) + math.log(2.0)) - 1.0
     # r = sqrt(d (d + 4 eps)) as a product of roots, which cannot overflow
     # however small eps is; d - r is taken in quotient form
     r = math.sqrt(d) * math.sqrt(d + 4.0 * eps)
-    return source_entropy - math.log(2.0 * eps + d + r) - 2.0 * d / (d + r)
+    total = 2.0 * eps + d + r
+    if total < math.inf:
+        return source_entropy - math.log(total) - 2.0 * d / (d + r)
+    half = eps + 0.5 * d + 0.5 * r
+    return source_entropy - math.log(half) - math.log(2.0) - d / (0.5 * d + 0.5 * r)
 
 
 def _lambertw0(x: float) -> float:

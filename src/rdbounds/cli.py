@@ -11,7 +11,8 @@ verify   cross-module consistency checks; exit 0 iff all pass
 ``_pairs`` turns grid values into (s, D) points and ``_sweep_rows`` computes
 every bound cell: per point, a row of raw (unclamped) rates, at most one note
 per bound and the BA point, with the R_U column in one batched call.
-``bounds``/``ba`` give it one share of the grid per ``--threads`` worker and
+``bounds``/``ba`` give it one share of the grid per ``--threads`` worker (a
+single worker runs on the calling thread, with no pool thread) and
 ``verify`` reads its checks off its rows.  ``_emit`` alone formats a cell and
 ``_report`` alone writes output.
 
@@ -350,10 +351,13 @@ def cmd_bounds(args) -> int:
         return _sweep_rows(source, loss, selected, share, args.ba_n, args)
 
     # one task per worker, over every workers-th point; the rows go back into
-    # grid order before the stable sort, so the output cannot depend on --threads
+    # grid order before the stable sort, so the output cannot depend on --threads.
+    # One worker maps on the calling thread: an executor starts no thread
+    # before its first task, so that sweep costs no pool round
     rows = [None] * len(points)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = pool.map(sweep, (points[i::workers] for i in range(workers)))
+        shares = (map if workers == 1 else pool.map)(
+            sweep, (points[i::workers] for i in range(workers)))
         for i, share in enumerate(shares):
             rows[i::workers] = share
     rows.sort(key=lambda row: row["D"])

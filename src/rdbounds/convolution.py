@@ -11,13 +11,14 @@ The Gaussian's error functions come from one numpy erfcx, a fixed
 polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.
 
 The entropy of r is a Gauss-Legendre panel sum per slope.  A Laplacian or
-Gaussian batch, 64 or GAUSSIAN_NODES = 20 nodes per panel, takes its panels
-from one ``panel_edges`` call.  Both share one far-field rule: past the
-source's 1e-16 tail span plus eps, panels grow with the kernel's decay length
-1/|s| out to 45/|s| further, so their number does not grow as s -> 0 (up to
-|s| = 1e15 alpha, at most 7 a Laplacian slope at alpha eps <= 3; up to 1e15 /
-sigma, 11 a Gaussian one at eps <= 3 sigma).  A slope whose reach 45/|s|
-overflows, |s| below about 2.5e-307, raises ValueError before any panel exists.
+Gaussian batch, LAPLACIAN_NODES = 40 or GAUSSIAN_NODES = 20 nodes per panel,
+takes its panels from one ``panel_edges`` call.  Both share one far-field
+rule: past the source's 1e-16 tail span plus eps, panels grow with the
+kernel's decay length 1/|s| out to 45/|s| further, so their number does not
+grow as s -> 0 (up to |s| = 1e15 alpha, at most 7 a Laplacian slope at
+alpha eps <= 3; up to 1e15 / sigma, 11 a Gaussian one at eps <= 3 sigma).
+A slope whose reach 45/|s| overflows, |s| below about 2.5e-307, raises
+ValueError before any panel exists.
 Their nodes are evaluated in chunks of whole slopes of at most NODE_BUDGET
 nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.
 A tabulated batch shares one slope-free geometry: 8-node panels between the
@@ -45,6 +46,10 @@ NODE_BUDGET = 2048
 # Gauss-Legendre nodes per Gaussian panel: for eps from 0 to 3 sigma and
 # |s| sigma in [1e-4, 1e5] the 20-node R_U is within 1e-14 of the 64-node one
 GAUSSIAN_NODES = 20
+# Gauss-Legendre nodes per Laplacian panel: for alpha in [0.3, 7], eps from 0
+# to 3/alpha and |s| in [1e-3, 1e5] h(g * p) is within 6e-16 relative of the
+# 64-node one (32 nodes: 9e-14, 24: 1.4e-10)
+LAPLACIAN_NODES = 40
 # most nodes of one tabulated R_U layout (about 160 MB at its peak); a slope
 # that needs more raises ValueError, which the CLI notes on that slope's row
 TABULATED_NODE_LIMIT = 2**21
@@ -364,7 +369,7 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
     if isinstance(source, Tabulated):
         return _tabulated_entropies(source, s, loss)
     if isinstance(source, Laplacian):
-        smooth, n = 15.0 / source.alpha, 64
+        smooth, n = 15.0 / source.alpha, LAPLACIAN_NODES
     elif isinstance(source, Gaussian):
         smooth, n = source.sigma, GAUSSIAN_NODES
     else:

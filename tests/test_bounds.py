@@ -87,6 +87,15 @@ class TestShannonLowerBound:
         with pytest.raises(ValueError):
             shannon_lower_bound(-0.5, H_LAP, EpsilonLoss(0.1))
 
+    def test_huge_distortion_stays_finite(self):
+        # 2 eps + d + r and 2d overflow past d of about 9e307, where the bound
+        # is h - log 2 - log d - 1 to within eps / d
+        d = 1e308
+        want = H_LAP - math.log(2.0) - math.log(d) - 1.0
+        for eps in (0.0, 0.1):
+            got = shannon_lower_bound(d, H_LAP, EpsilonLoss(eps))
+            assert math.isfinite(got) and got == pytest.approx(want, rel=0.0, abs=1e-12)
+
 
 class TestSlbZero:
     def test_laplacian_endpoint(self):
@@ -596,6 +605,18 @@ class TestBatchedUpperBound:
             got = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, loss)]
             with monkeypatch.context() as patch:
                 patch.setattr(convolution, "GAUSSIAN_NODES", 64)
+                want = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, loss)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, ALPHA, 7.0])
+    def test_laplacian_forty_nodes_match_sixty_four(self, monkeypatch, alpha):
+        src = Laplacian(alpha)
+        slopes = -np.geomspace(1e-3, 1e5, 161)
+        for eps in (0.0, 0.1, 1.0, 3.0 / alpha):
+            loss = EpsilonLoss(eps)
+            got = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, loss)]
+            with monkeypatch.context() as patch:
+                patch.setattr(convolution, "LAPLACIAN_NODES", 64)
                 want = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, loss)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 

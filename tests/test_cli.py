@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -114,6 +115,20 @@ class TestBoundsSweep:
         for threads in ("5000", "0", "2"):
             assert run_cli(capsys, *BOUNDS_ARGS, "--grid-count", "7", "--threads", threads) == want
         assert sizes == [3, 3, 2]
+
+    def test_one_worker_starts_no_thread(self, capsys, monkeypatch):
+        # one worker maps on the calling thread: a sweep at --threads 1, and a
+        # one-point grid at any --threads, print the same with no thread start
+        runs = [(*BOUNDS_ARGS, "--threads", "1"),
+                (*BOUNDS_ARGS, "--grid-count", "1", "--threads", "4")]
+        want = [run_cli(capsys, *argv) for argv in runs]
+
+        def refuse(thread):
+            raise AssertionError(f"thread started: {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert [run_cli(capsys, *argv) for argv in runs] == want
+        assert all(code == 0 for code, _, _ in want)
 
     def test_memoised_parser_keeps_no_state(self, capsys, tmp_path):
         # one in-process call after another prints what a fresh process prints

@@ -13,6 +13,7 @@ from rdbounds import (
     mixture_cf,
     tilted_cf,
 )
+from rdbounds import spectral
 
 import oracles
 
@@ -53,6 +54,14 @@ class TestMixtureCf:
         lo = mixture_cf(9.99e-4, -2.0, loss)
         hi = mixture_cf(1.01e-3, -2.0, loss)
         assert lo == pytest.approx(hi, abs=1e-9)
+
+    def test_sinc_against_libm(self):
+        # one value at a time and as one array; numpy's SIMD sin may round an
+        # ulp apart from libm's
+        u = [v for m in (0.0, 5e-324, 1e-300, 1e-8, 1e-4, 1.0, 50.0) for v in (m, -m)]
+        want = [1.0 if v == 0.0 else math.sin(v) / v for v in u]
+        for got in ([float(spectral._sinc(v)) for v in u], spectral._sinc(np.array(u))):
+            assert all(abs(g - w) <= 2.0 * math.ulp(w) for g, w in zip(got, want))
 
 
 class TestTiltedCf:
