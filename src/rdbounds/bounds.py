@@ -205,8 +205,15 @@ def convolution_upper_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPo
 def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
     """Upper bound replacing h(g * p) by the max-entropy Gaussian of equal variance."""
     s = _check_slope(s)
-    v = source.variance() + tilted_variance(s, loss)
-    raw = 0.5 * math.log(2.0 * math.pi * math.e * v) - tilted_entropy(s, loss)
+    v = 2.0 * math.pi * math.e * (source.variance() + tilted_variance(s, loss))
+    log_scale = 0.0
+    if v == math.inf:
+        # Var g ~ 2/s^2 passes the float range below |s| ~ 1e-154: x -> x |s|
+        # scales Var g by s^2 to the variance at slope -1 and band eps |s|
+        var_g = tilted_variance(-1.0, EpsilonLoss(-s * loss.epsilon))
+        v = 2.0 * math.pi * math.e * (s * s * source.variance() + var_g)
+        log_scale = 2.0 * math.log(-s)
+    raw = 0.5 * (math.log(v) - log_scale) - tilted_entropy(s, loss)
     return _rate_point(distortion_of_slope(s, loss), raw, s)
 
 

@@ -10,21 +10,16 @@ of positive terms, so they keep their relative accuracy where r is tiny.
 The Gaussian's error functions come from one numpy erfcx, a fixed
 polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.
 
-The entropy of r is a Gauss-Legendre panel sum per slope.  A Laplacian or
-Gaussian batch, LAPLACIAN_NODES = 40 or GAUSSIAN_NODES = 20 nodes per panel,
-takes its panels from one ``panel_edges`` call.  Both share one far-field
-rule: past the source's 1e-16 tail span plus eps, panels grow with the
-kernel's decay length 1/|s| out to 45/|s| further, so their number does not
-grow as s -> 0 (up to |s| = 1e15 alpha, at most 7 a Laplacian slope at
-alpha eps <= 3; up to 1e15 / sigma, 11 a Gaussian one at eps <= 3 sigma).
-A slope whose reach 45/|s| overflows, |s| below about 2.5e-307, raises
-ValueError before any panel exists.
+The entropy of r is a Gauss-Legendre panel sum per slope, plus a closed form
+r0 (1 - log r0)/|s| past each outer break, where r = r0 e^{-|s| t}.  A Laplacian
+or Gaussian batch, LAPLACIAN_NODES = 40 or GAUSSIAN_NODES = 20 nodes per panel,
+lays its panels on [0, tail span(1e-16) + eps] in one ``panel_edges`` call: at
+most 7 a Laplacian slope at alpha eps <= 3, 11 a Gaussian one at eps <= 3 sigma.
 Their nodes are evaluated in chunks of whole slopes of at most NODE_BUDGET
-nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.
-A tabulated batch shares one slope-free geometry: 8-node panels between the
-breaks (cell edge) +- eps, and a closed form past the outer breaks, where r
-is one exponential.  Each slope is summed by its own np.dot in panel order,
-so its value does not depend on the batch or the chunk it falls in.
+nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.  A
+tabulated batch shares one slope-free geometry: 8-node panels between the
+breaks (cell edge) +- eps.  Each slope is summed by its own np.dot in panel
+order, so its value does not depend on the batch or the chunk it falls in.
 """
 
 from __future__ import annotations
@@ -55,25 +50,24 @@ LAPLACIAN_NODES = 40
 TABULATED_NODE_LIMIT = 2**21
 
 
-def _entropy_edges(s, loss: EpsilonLoss, upper, smooth_scale: float, far=None):
-    """Panels on [0, upper] for -r log r: source-scale panels, finer near eps.
+def _entropy_edges(s, loss: EpsilonLoss, far, smooth_scale: float):
+    """Panels on [0, far] for -r log r: source-scale panels, finer near eps.
 
-    Past ``far`` (default and cap: upper) r is one exponential of rate |s|,
-    so its panels are 30 / |s| long where that is longer than the
-    source-scale ones.  For one slope the result is panel_edges' edge array;
-    for an array of slopes (upper and far broadcast against it) it is
-    panel_edges' (panels, chain) over one break chain per slope.
+    Fine panels are at most 30/|s| and at least two ulps of eps long, so a
+    reach 45/|s| under an ulp of eps gives one panel, not several of zero
+    width.  One slope gives panel_edges' edge array; an array of slopes (far
+    broadcast against it) gives its (panels, chain), one break chain per slope.
     """
     eps = loss.epsilon
     coarse = 2.0 * smooth_scale
-    decay = 30.0 / np.abs(s)
-    far = upper if far is None else np.where(decay <= coarse, upper, np.minimum(far, upper))
-    fine_half = np.minimum(_kernel_reach(s), eps) if eps > 0.0 else 0.0
-    fine_hi = np.minimum(eps + _kernel_reach(s), far)
-    fine = np.minimum(decay, coarse)
-    breaks = np.broadcast_arrays(0.0, np.maximum(eps - fine_half, 0.0), np.minimum(eps, upper),
-                                 fine_hi, far, upper)
-    lengths = np.broadcast_arrays(coarse, fine, fine, coarse, decay)
+    with np.errstate(over="ignore"):  # inf below |s| ~ 2.5e-307, capped by the minima
+        reach, decay = _kernel_reach(s), 30.0 / np.abs(s)
+    fine_half = np.minimum(reach, eps) if eps > 0.0 else 0.0
+    fine_hi = np.minimum(eps + reach, far)
+    fine = np.maximum(np.minimum(decay, coarse), 2.0 * np.spacing(eps))
+    breaks = np.broadcast_arrays(0.0, np.maximum(eps - fine_half, 0.0), np.minimum(eps, far),
+                                 fine_hi, far)
+    lengths = np.broadcast_arrays(coarse, fine, fine, coarse)
     return panel_edges(np.stack(breaks, axis=-1), np.stack(lengths, axis=-1))
 
 
@@ -179,15 +173,15 @@ def _gaussian_conv_pdf(y, s, sigma: float, loss: EpsilonLoss):
     slope or an array of them broadcast against y.
     """
     eps, b = loss.epsilon, np.abs(s)
-    ay = np.abs(y)
+    ay = np.broadcast_to(np.abs(y), np.broadcast_shapes(np.shape(y), b.shape))
     w = np.stack([ay - eps, -ay - eps])
     z = (b * sigma * sigma - w) / sigma
     # rows: the band edges (ay -+ eps) / (sqrt 2 sigma), then the two tails
     x = np.concatenate([np.stack([ay - eps, ay + eps]) / (math.sqrt(2.0) * sigma),
                         z / math.sqrt(2.0)])
     scaled = _erfcx(np.abs(x))
-    # squares of the far nodes of a slope near 1e-150 overflow to inf, and
-    # the e^-inf = 0 that follows is the value meant
+    # (|s| sigma)^2 overflows to inf past |s| sigma ~ 1e154, in the tail
+    # branch that np.where drops
     with np.errstate(over="ignore"):
         erfc = _erfc(x[:2], scaled[:2])
         # e^{s^2 sigma^2 / 2 + s w} erfc(z / sqrt 2) / 2 is emg for z >= 0; for
@@ -275,7 +269,7 @@ class _TabulatedGeometry:
         sums = _tail_sums(np.stack([self.pad[:-1], self.pad[:0:-1]]), (b * self.h)[:, None])
         left, right = sums[:, 0] * factor, sums[:, 1, ::-1] * factor
         r0 = np.stack([right[:, 0], left[:, -1]]) / c
-        return left, right, ((r0 + _neg_r_log_r(r0)) / b).sum(axis=0)  # r0 (1 - log r0) / |s|
+        return left, right, _exp_tail_entropy(r0, b).sum(axis=0)
 
     def terms(self, y, seg):
         """M at points y of segments seg, then per tail its offset, cell and density."""
@@ -356,6 +350,12 @@ def _neg_r_log_r(r):
     return -r * np.log(np.where(r > 0.0, r, 1.0))  # 0 where r <= 0; NaN stays NaN
 
 
+def _exp_tail_entropy(r0, b):
+    """-r log r over t >= 0 for r = r0 e^{-b t}: r0 (1 - log r0) / b, 0 where r0 <= 0;
+    one product, so that an infinite r0 gives -inf, not inf - inf."""
+    return r0 * (1.0 - np.log(np.where(r0 > 0.0, r0, 1.0))) / b
+
+
 def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
     """Differential entropy of (tilted kernel * source) at each slope, by panel quadrature.
 
@@ -374,15 +374,11 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
         smooth, n = source.sigma, GAUSSIAN_NODES
     else:
         raise _unsupported(source)
-    # past far r is the source's mass spread by the kernel's tail; 45/|s|
-    # overflows for |s| below about 2.5e-307, where no layout is finite
+    # past far r is the source's mass spread by the kernel's tail, one
+    # exponential of rate |s|, whose entropy is closed form
     far = source.tail_span(1e-16) + loss.epsilon
-    with np.errstate(over="ignore"):
-        upper = far + _kernel_reach(s)
-    if np.isinf(upper).any():
-        raise ValueError(f"R_U's kernel reach 45/|s| overflows at s = {float(s.max())!r}")
     # r is even, so integrate over the half line and double
-    panels, chain = _entropy_edges(s, loss, upper, smooth, far)
+    panels, chain = _entropy_edges(s, loss, far, smooth)
     starts = np.searchsorted(chain, np.arange(s.size + 1)).tolist()
     out = np.empty(s.size)
     first = 0
@@ -397,4 +393,4 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
             a, b = (starts[k] - lo) * n, (starts[k + 1] - lo) * n
             out[k] = 2.0 * float(np.dot(wq[a:b], f[a:b]))
         first = last
-    return out
+    return out + 2.0 * _exp_tail_entropy(conv_pdf(source, s, loss, far), -s)

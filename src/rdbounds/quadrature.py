@@ -95,7 +95,7 @@ def panel_nodes(edges, n: int = 64):
     lo, hi = (edges[:-1], edges[1:]) if edges.ndim == 1 else edges
     x, w = gauss_legendre(n)
     # halves first: rounds as 0.5 (hi + lo) does for normal edges, and stays
-    # finite for edges past half the float range (45/|s| at |s| ~ 3e-307)
+    # finite for edges past half the float range, where hi + lo overflows
     mid = 0.5 * hi + 0.5 * lo
     half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -122,11 +122,16 @@ def tilted_variance(s: float, loss: EpsilonLoss) -> float:
     """Variance of the tilted density.
 
     (2/C(s)) { eps^3/3 + (1/|s|)(eps^2 + 2 eps/|s| + 2/s^2) }; equals 2/s^2 at
-    eps = 0 and tends to eps^2/3 as |s| -> inf.
+    eps = 0 and tends to eps^2/3 as |s| -> inf.  Never raises: it is inf only
+    where 2/s^2 is past the float range.
     """
     s = _check_slope(s)
     eps = loss.epsilon
     b = abs(s)
     c = _normalizer(s, eps)
-    return (2.0 / c) * (eps**3 / 3.0 + (eps**2 + 2.0 * eps / b + 2.0 / (b * b)) / b)
+    var = math.inf
+    if b * b > 0.0:  # s^2 underflows to 0 below |s| ~ 1.6e-162
+        var = (2.0 / c) * (eps**3 / 3.0 + (eps**2 + 2.0 * eps / b + 2.0 / (b * b)) / b)
+    # 2/|s|^3 overflows below |s| ~ 2.2e-103; x -> x |s| gives Var(s) = Var(-1, eps |s|) / s^2
+    return var if var < math.inf else tilted_variance(-1.0, EpsilonLoss(b * eps)) / b / b
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -519,10 +520,42 @@ class TestConvolutionUpperBound:
         self.panels_bounded_then_small_allocation(
             monkeypatch, LAP, eps, (-0.5, -1e-2, -1e-6, -1e-300), 20)
 
+    @pytest.mark.parametrize("src,top,max_panels", [(LAP, 3.0 / ALPHA, 7), (GAU, 3.0, 11)],
+                             ids=["laplacian", "gaussian"])
+    def test_smooth_panels_have_width_at_every_slope(self, monkeypatch, src, top, max_panels):
+        # past |s| ~ 1e15 the reach 45/|s| is under an ulp of eps, and eps -+ it
+        # round to neighbours of eps: such a one-ulp segment is one panel, not
+        # several whose edges round to the same value
+        slopes = -np.geomspace(1e-300, 1e300, 6001)
+        layouts = []
+
+        def recording_panel_edges(breaks, max_len):
+            layouts.append(panel_edges(breaks, max_len))
+            return layouts[-1]
+
+        monkeypatch.setattr(convolution, "panel_edges", recording_panel_edges)
+        # the density is a stand-in: only the layout is checked
+        monkeypatch.setattr(convolution, "conv_pdf", lambda *args: np.ones(np.shape(args[-1])))
+        for eps in (0.0, 0.1, 1.0, top):
+            convolution.conv_entropies(src, slopes, EpsilonLoss(eps))
+            panels, chain = layouts.pop()
+            assert np.all(panels[1] > panels[0])
+            assert np.bincount(chain, minlength=slopes.size).max() <= max_panels
+
+    @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 10.0])
+    def test_smooth_tiny_slopes_take_a_value(self, src, eps):
+        # the kernel's reach 45/|s| overflows at 1e-307; R_U -> 0 as s -> 0
+        slopes = -np.array([1e-307, 1e-300, 1e-200, 1e-100])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = [pt.raw_rate for pt in convolution_upper_bounds(src, slopes, EpsilonLoss(eps))]
+        assert np.all(np.abs(rates) <= 1e-12)
+
     @pytest.mark.parametrize("s", [-0.5, -1e-2, -ALPHA / 2, -0.999 * ALPHA, -1.001 * ALPHA])
     def test_laplacian_weak_slopes_match_nested_quadrature(self, s):
-        # past the far break r is one exponential of rate |s| on 30/|s| panels;
-        # near |s| = alpha it is two exponentials of close rates there
+        # past the far break r is summed in closed form as one exponential of
+        # rate |s|; near |s| = alpha it is two exponentials of close rates there
         want = oracles.ru_quad(LAP.pdf, s, 0.1, support=40.0, kinks=(0.0,))
         assert convolution_upper_bound(LAP, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-10)
@@ -672,6 +705,15 @@ class TestGaussianEntropyBound:
         want = 0.5 * math.log(2 * math.pi * math.e * (1.0 + v_g)) - h_g
         got = gaussian_entropy_bound(LAP, s, loss)  # Laplacian(sqrt 2) has unit variance
         assert got.raw_rate == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_tends_to_its_limit_at_tiny_slopes(self, src, eps):
+        # Var g ~ 2/s^2: its terms overflow at 1e-120, and s^2 underflows to 0
+        # at 1e-200 and 1e-300; the bound tends to (1/2) log(pi e) - 1
+        for s in (-1e-120, -1e-200, -1e-300):
+            got = gaussian_entropy_bound(src, s, EpsilonLoss(eps)).raw_rate
+            assert abs(got - (0.5 * math.log(math.pi * math.e) - 1.0)) <= 1e-12
 
     def test_nonnegative_even_at_weak_slopes(self):
         # the max-entropy replacement keeps this bound >= 0 for every slope

@@ -500,18 +500,20 @@ class TestConfigHandling:
         ["bounds", "--grid-var", "d", "--grid-min", "1e300", "--bounds", "slb,rau,rge,trivial"],
         ["bounds", "--source", "gaussian", "--grid-var", "d", "--grid-min", "1e300",
          "--bounds", "slb,ru,rge"],
-        # R_ge overflows to inf from s = -4.6e-111 on, R_au at s = -1.8e-158
+        # R_au overflows to inf at s = -1.8e-158; R_ge stays finite
         ["bounds", "--grid-var", "d", "--grid-max", "1e300", "--bounds", "rau,rge"],
     ])
     def test_extreme_finite_slopes_note_failed_cells(self, capsys, argv):
-        # at eps = 0 these grids stay in the domain, yet a closed form fails
-        # at some of their slopes; each such cell is noted, none aborts the
-        # sweep, and none prints a non-finite rate
+        # at eps = 0 these grids stay in the domain, yet R_AU fails at some of
+        # their slopes; each such cell is noted, none aborts the sweep, and
+        # none prints a non-finite rate.  Every other bound, R_GE included,
+        # has a value at every slope of them
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         header, rows = parse_csv(out)
         selected = argv[-1].split(",")
-        assert any("_error:" in row[-1] for row in rows)
+        noted = {bound for row in rows for bound in selected if f"{bound}_error:" in row[-1]}
+        assert noted == {"rau"} & set(selected)
         for row in rows:
             cells = dict(zip(header, row))
             assert not any(cells[column] in ("inf", "nan") for column in header[:-1])
@@ -571,24 +573,25 @@ class TestBatchedColumn:
 
     @pytest.mark.parametrize("source", ["laplacian", "gaussian"])
     @pytest.mark.parametrize("eps", ["0", "10"])
-    def test_overflowing_kernel_reach_noted_on_its_own_row(self, capsys, source, eps):
-        # 45/|s| overflows at |s| = 1e-307 (D = 1e307 is in the grid domain):
-        # that row notes the reach and keeps its SLB cell, no numpy warning
-        # is raised, and the rows at |s| = 3.2e-307, whose reach is past half
-        # the float range, and 1e-306 keep their values
+    def test_overflowing_kernel_reach_rows_take_a_value(self, capsys, source, eps):
+        # 45/|s| overflows at |s| = 1e-307 (D = 1e307 is in the grid domain)
+        # and is past half the float range at 3.2e-307; the panels stop at the
+        # source's tail span and a closed form takes the kernel's tail, so
+        # every row has an R_U, no numpy warning is raised, and the SLB cells
+        # are those of an SLB-only sweep
         argv = ["bounds", "--source", source, "--epsilon", eps, "--grid-min", "1e-307",
                 "--grid-max", "1e-306", "--grid-count", "3", "--bounds", "slb,ru"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == "" and caught == []
-        rows = {row[0]: row for row in parse_csv(out)[1]}
-        assert rows["-1e-307"][2] == "0" and rows["-1e-307"][3] == ""
-        assert rows["-1e-307"][-1].endswith(
-            ";ru_error:R_U's kernel reach 45/|s| overflows at s = -1e-307")
-        for s in ("-3.16227766017e-307", "-1e-306"):
+        rows = parse_csv(out)[1]
+        assert [row[0] for row in rows] == ["-1e-306", "-3.16227766017e-307", "-1e-307"]
+        slb_only = parse_csv(run_cli(capsys, *argv[:-1], "slb")[1])[1]
+        for row, want in zip(rows, slb_only):
             # R_U -> 0 as s -> 0; what is left is the round-off of two entropies near 705
-            assert float(rows[s][3]) < 1e-12 and "ru_error" not in rows[s][-1]
+            assert float(row[3]) < 1e-12 and "ru_error" not in row[-1]
+            assert row[2] == want[2] == "0" and row[-1].startswith(want[-1])
 
 
     def test_tabulated_slope_over_the_node_limit_noted_on_its_own_row(self, capsys,

@@ -140,6 +140,16 @@ class TestVariance:
         eps = 0.3
         assert tilted_variance(-1e9, EpsilonLoss(eps)) == pytest.approx(eps**2 / 3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_tiny_slopes_give_two_over_s_squared(self, eps):
+        # the closed form's terms overflow below |s| ~ 2.2e-103 and s^2
+        # underflows to 0 below ~1.6e-162; the variance 2/s^2 is finite to
+        # |s| ~ 1e-154 and inf past it, never an error
+        for s in (-1e-120, -1e-150):
+            assert tilted_variance(s, EpsilonLoss(eps)) == pytest.approx(2.0 / s / s, rel=1e-15)
+        for s in (-1e-160, -1e-200, -5e-324):
+            assert tilted_variance(s, EpsilonLoss(eps)) == math.inf
+
     def test_against_quadrature(self):
         assert tilted_variance(-3.0, EpsilonLoss(0.2)) == pytest.approx(
             oracles.tilted_variance_quad(-3.0, 0.2), abs=1e-9
