@@ -31,12 +31,12 @@ from .convolution import conv_entropies
 from .sources import Source
 from .tilted import (
     EpsilonLoss,
+    _band_variance,
     _check_slope,
     _positive,
     distortion_of_slope,
     normalizer,
     tilted_entropy,
-    tilted_variance,
 )
 
 __all__ = [
@@ -77,27 +77,20 @@ def _rate_point(d: float, raw: float, s: float) -> RDPoint:
 
 
 def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> float:
-    """Closed-form lower bound on the rate at average distortion d.
+    """Closed-form lower bound h(p) - log(2 eps + d + r) - 2d/(d + r), r = sqrt(d (d + 4 eps)).
 
-    Returns the raw (possibly negative) value; it is strictly decreasing in d.
-    The eps = 0 branch is the exact limit source_entropy - log(2 e d).
+    Returns the raw (possibly negative) value, strictly decreasing in d.  In
+    units of m = max(d, eps) no sum overflows, so it is finite for every d > 0;
+    at eps = 0 it is h(p) - log d - log 2 - 1, the limit of small eps.
     """
-    d = _positive(d, "distortion")
-    eps = loss.epsilon
-    # past d of about 9e307 the sums below overflow; there they are taken at
-    # half scale, plus log 2, and every finite sum keeps its own expression
-    if eps == 0.0:
-        twice = 2.0 * d
-        return source_entropy - (math.log(twice) if twice < math.inf
-                                 else math.log(d) + math.log(2.0)) - 1.0
-    # r = sqrt(d (d + 4 eps)) as a product of roots, which cannot overflow
-    # however small eps is; d - r is taken in quotient form
-    r = math.sqrt(d) * math.sqrt(d + 4.0 * eps)
-    total = 2.0 * eps + d + r
-    if total < math.inf:
-        return source_entropy - math.log(total) - 2.0 * d / (d + r)
-    half = eps + 0.5 * d + 0.5 * r
-    return source_entropy - math.log(half) - math.log(2.0) - d / (0.5 * d + 0.5 * r)
+    d, eps = _positive(d, "distortion"), loss.epsilon
+    m = max(d, eps)
+    # r / m as a product of roots, which cannot overflow however small eps is;
+    # 2d/(d + r) in quotient form, 0 where eps/d overflows; the terms summed exactly
+    x, e = d / m, eps / m
+    return math.fsum((source_entropy, -math.log(m),
+                      -math.log(2.0 * e + x + math.sqrt(x) * math.sqrt(x + 4.0 * e)),
+                      -2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (eps / d)))))
 
 
 def _lambertw0(x: float) -> float:
@@ -203,17 +196,18 @@ def convolution_upper_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPo
 
 
 def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
-    """Upper bound replacing h(g * p) by the max-entropy Gaussian of equal variance."""
-    s = _check_slope(s)
-    v = 2.0 * math.pi * math.e * (source.variance() + tilted_variance(s, loss))
-    log_scale = 0.0
-    if v == math.inf:
-        # Var g ~ 2/s^2 passes the float range below |s| ~ 1e-154: x -> x |s|
-        # scales Var g by s^2 to the variance at slope -1 and band eps |s|
-        var_g = tilted_variance(-1.0, EpsilonLoss(-s * loss.epsilon))
-        v = 2.0 * math.pi * math.e * (s * s * source.variance() + var_g)
-        log_scale = 2.0 * math.log(-s)
-    raw = 0.5 * (math.log(v) - log_scale) - tilted_entropy(s, loss)
+    """Upper bound replacing h(g * p) by the max-entropy Gaussian of equal variance.
+
+    log(Var p + Var g) is the log-sum of the tails' log(2/s^2) and log(Var p
+    + the band's share), taken in units of max(eps, 1): finite wherever h(g) is.
+    """
+    b, eps = -_check_slope(s), loss.epsilon
+    unit, two_pi_e = max(eps, 1.0), 2.0 * math.pi * math.e
+    band = 2.0 * math.log(unit) + math.log(
+        two_pi_e * (source.variance() / unit / unit + _band_variance(b, eps, unit)))
+    tails = math.log(2.0 * two_pi_e) - 2.0 * math.log(b)
+    raw = (0.5 * (max(band, tails) + math.log1p(math.exp(-abs(band - tails))))
+           - tilted_entropy(s, loss))
     return _rate_point(distortion_of_slope(s, loss), raw, s)
 
 

@@ -14,7 +14,7 @@ The entropy of r is a Gauss-Legendre panel sum per slope, plus a closed form
 r0 (1 - log r0)/|s| past each outer break, where r = r0 e^{-|s| t}.  A Laplacian
 or Gaussian batch, LAPLACIAN_NODES = 40 or GAUSSIAN_NODES = 20 nodes per panel,
 lays its panels on [0, tail span(1e-16) + eps] in one ``panel_edges`` call: at
-most 7 a Laplacian slope at alpha eps <= 3, 11 a Gaussian one at eps <= 3 sigma.
+most 9 a Laplacian slope and 15 a Gaussian one at any eps (7, 11 to 3 sigma).
 Their nodes are evaluated in chunks of whole slopes of at most NODE_BUDGET
 nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.  A
 tabulated batch shares one slope-free geometry: 8-node panels between the
@@ -50,24 +50,23 @@ LAPLACIAN_NODES = 40
 TABULATED_NODE_LIMIT = 2**21
 
 
-def _entropy_edges(s, loss: EpsilonLoss, far, smooth_scale: float):
-    """Panels on [0, far] for -r log r: source-scale panels, finer near eps.
+def _entropy_edges(s, loss: EpsilonLoss, span: float, smooth_scale: float):
+    """Panels on [0, eps + span] for -r log r, span the source's 1e-16 tail span.
 
-    Fine panels are at most 30/|s| and at least two ulps of eps long, so a
-    reach 45/|s| under an ulp of eps gives one panel, not several of zero
-    width.  One slope gives panel_edges' edge array; an array of slopes (far
-    broadcast against it) gives its (panels, chain), one break chain per slope.
+    On [0, eps - span] the band holds all but 1e-16 of the mass, so r is flat:
+    one panel.  Then source-scale panels, at most 30/|s| near eps, and none
+    under two ulps of eps, so a segment under an ulp (a reach 45/|s|, or the
+    source's scale) is one panel, not several of zero width.  One slope gives
+    panel_edges' edge array; an array of them its (panels, chain).
     """
-    eps = loss.epsilon
-    coarse = 2.0 * smooth_scale
+    eps, ulps = loss.epsilon, 2.0 * np.spacing(loss.epsilon)
+    far, flat, coarse = eps + span, max(eps - span, 0.0), max(2.0 * smooth_scale, ulps)
     with np.errstate(over="ignore"):  # inf below |s| ~ 2.5e-307, capped by the minima
         reach, decay = _kernel_reach(s), 30.0 / np.abs(s)
-    fine_half = np.minimum(reach, eps) if eps > 0.0 else 0.0
-    fine_hi = np.minimum(eps + reach, far)
-    fine = np.maximum(np.minimum(decay, coarse), 2.0 * np.spacing(eps))
-    breaks = np.broadcast_arrays(0.0, np.maximum(eps - fine_half, 0.0), np.minimum(eps, far),
-                                 fine_hi, far)
-    lengths = np.broadcast_arrays(coarse, fine, fine, coarse)
+    fine = np.maximum(np.minimum(decay, coarse), ulps)
+    breaks = np.broadcast_arrays(0.0, flat, np.maximum(eps - reach, flat), eps,
+                                 np.minimum(eps + reach, far), far)
+    lengths = np.broadcast_arrays(np.inf, coarse, fine, fine, coarse)
     return panel_edges(np.stack(breaks, axis=-1), np.stack(lengths, axis=-1))
 
 
@@ -374,11 +373,9 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
         smooth, n = source.sigma, GAUSSIAN_NODES
     else:
         raise _unsupported(source)
-    # past far r is the source's mass spread by the kernel's tail, one
-    # exponential of rate |s|, whose entropy is closed form
-    far = source.tail_span(1e-16) + loss.epsilon
     # r is even, so integrate over the half line and double
-    panels, chain = _entropy_edges(s, loss, far, smooth)
+    span = source.tail_span(1e-16)
+    panels, chain = _entropy_edges(s, loss, span, smooth)
     starts = np.searchsorted(chain, np.arange(s.size + 1)).tolist()
     out = np.empty(s.size)
     first = 0
@@ -393,4 +390,6 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
             a, b = (starts[k] - lo) * n, (starts[k + 1] - lo) * n
             out[k] = 2.0 * float(np.dot(wq[a:b], f[a:b]))
         first = last
-    return out + 2.0 * _exp_tail_entropy(conv_pdf(source, s, loss, far), -s)
+    # past far = eps + span r is the source's mass spread by the kernel's tail,
+    # one exponential of rate |s|, whose entropy is closed form
+    return out + 2.0 * _exp_tail_entropy(conv_pdf(source, s, loss, loss.epsilon + span), -s)

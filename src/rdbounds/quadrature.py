@@ -51,7 +51,8 @@ def panel_edges(breaks, max_len):
     k = ceil((b - a) / max_len) equal panels whose edges are the points
     np.linspace(a, b, k + 1) would give, bit for bit.  Non-increasing pairs
     are skipped, so degenerate segments (e.g. an insensitivity band of width
-    zero) collapse silently.  A NaN or infinite break raises ValueError.
+    zero) collapse silently.  A NaN or infinite break raises ValueError, and
+    so does a panel count not below 2^53.
 
     ``breaks`` is one chain, and max_len one length or one per pair: the
     result is the edge array.  Or ``breaks`` is 2-D, one chain per row, and
@@ -70,10 +71,15 @@ def panel_edges(breaks, max_len):
     rows = np.broadcast_to(np.arange(breaks.shape[0])[:, None], a.shape)[keep] \
         if breaks.ndim == 2 else None
     a, b = a[keep], b[keep]
-    counts = np.maximum(np.ceil((b - a) / max_len), 1.0).astype(np.int64)
+    counts = np.maximum(np.ceil((b - a) / max_len), 1.0)
+    total = counts.sum()
+    # a float count from 2^53 on (or NaN) is no exact integer, and far past memory
+    if not total < 2**53:
+        raise ValueError(f"panel count {total:.3g} is not below 2^53")
+    counts = counts.astype(np.int64)
     ends = np.cumsum(counts)
     pair = np.repeat(np.arange(a.size), counts)
-    j = np.arange(1, int(counts.sum()) + 1) - np.repeat(ends - counts, counts)
+    j = np.arange(1, int(total) + 1) - np.repeat(ends - counts, counts)
     # np.linspace's arithmetic: j * ((b - a) / k) + a, with the last point set to b
     step, start = ((b - a) / counts)[pair], a[pair]
     points = j * step + start

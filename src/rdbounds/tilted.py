@@ -118,20 +118,18 @@ def slope_of_distortion(d: float, loss: EpsilonLoss) -> float:
     return -2.0 / (d + math.sqrt(d * (d + 4.0 * eps)))
 
 
-def tilted_variance(s: float, loss: EpsilonLoss) -> float:
-    """Variance of the tilted density.
+def _band_variance(b: float, eps: float, unit: float) -> float:
+    """The band's share eps^2 (1/3 + (2/3)/(1 + eps |s|)) of Var g (|s| = b), over unit^2."""
+    e = eps / unit
+    return e * (e * (1.0 / 3.0 + (2.0 / 3.0) / (1.0 + eps * b)))
 
-    (2/C(s)) { eps^3/3 + (1/|s|)(eps^2 + 2 eps/|s| + 2/s^2) }; equals 2/s^2 at
-    eps = 0 and tends to eps^2/3 as |s| -> inf.  Never raises: it is inf only
-    where 2/s^2 is past the float range.
+
+def tilted_variance(s: float, loss: EpsilonLoss) -> float:
+    """Variance of the tilted density: the band's share plus the tails' 2/s^2.
+
+    Two positive terms: 2/s^2 at eps = 0, and eps^2/3 in the limit |s| -> inf.
+    Never raises; it is inf only where its value is past the float range.
     """
-    s = _check_slope(s)
-    eps = loss.epsilon
-    b = abs(s)
-    c = _normalizer(s, eps)
-    var = math.inf
-    if b * b > 0.0:  # s^2 underflows to 0 below |s| ~ 1.6e-162
-        var = (2.0 / c) * (eps**3 / 3.0 + (eps**2 + 2.0 * eps / b + 2.0 / (b * b)) / b)
-    # 2/|s|^3 overflows below |s| ~ 2.2e-103; x -> x |s| gives Var(s) = Var(-1, eps |s|) / s^2
-    return var if var < math.inf else tilted_variance(-1.0, EpsilonLoss(b * eps)) / b / b
+    b = -_check_slope(s)
+    return _band_variance(b, loss.epsilon, 1.0) + 2.0 / b / b
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -81,6 +82,25 @@ class TestShannonLowerBound:
         for d in (1e-3, 0.5, 10.0):
             assert shannon_lower_bound(d, H_LAP, EpsilonLoss(eps)) == pytest.approx(
                 shannon_lower_bound(d, H_LAP, EpsilonLoss(0.0)), abs=1e-12)
+
+    def test_least_distortion_at_eps_zero(self):
+        # a half-scale form takes d/2, which underflows to 0 at the least subnormal
+        d = 5e-324
+        want = H_LAP - math.log(d) - math.log(2.0) - 1.0
+        assert shannon_lower_bound(d, H_LAP, EpsilonLoss(0.0)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-8, 0.1, 1.0, 1e8, 1e300])
+    def test_matches_decimal_evaluation(self, eps):
+        # h - log(2 eps + d + r) - 2d/(d + r), r = sqrt(d (d + 4 eps)), in 60 digits
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            e, h = decimal.Decimal(eps), decimal.Decimal(H_LAP)
+            for d in np.geomspace(5e-324, 1.7e308, 401).tolist():
+                x = decimal.Decimal(d)
+                r = (x * (x + 4 * e)).sqrt()
+                want = float(h - (2 * e + x + r).ln() - 2 * x / (x + r))
+                got = shannon_lower_bound(d, H_LAP, EpsilonLoss(eps))
+                assert abs(got - want) <= 4e-16 * max(abs(want), 1.0), d
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -473,6 +493,18 @@ class TestConvolutionUpperBound:
         assert convolution_upper_bound(src, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-8)
 
+    @pytest.mark.parametrize("src,s", [(LAP, -0.5), (LAP, -5.0), (GAU, -0.5), (GAU, -50.0)])
+    @pytest.mark.parametrize("eps", [10.0, 100.0])
+    def test_wide_band_matches_nested_quadrature(self, src, s, eps):
+        # both sources have unit variance, so eps is 10 and 100 sigma: past the
+        # tail span the band's flat stretch [0, eps - span] is one panel
+        if src is LAP:
+            want = oracles.ru_quad(LAP.pdf, s, eps, support=40.0, kinks=(0.0,))
+        else:
+            want = oracles.ru_quad(GAU.pdf, s, eps, support=9.5)
+        assert convolution_upper_bound(src, s, EpsilonLoss(eps)).raw_rate == pytest.approx(
+            want, abs=1e-8)
+
     @pytest.mark.parametrize("s", [-1e-3, -1e-2, -0.5])
     def test_gaussian_weak_slopes_match_nested_quadrature(self, s):
         # the oracle's source stops at 9.5, a kink its outer integral must see
@@ -520,12 +552,19 @@ class TestConvolutionUpperBound:
         self.panels_bounded_then_small_allocation(
             monkeypatch, LAP, eps, (-0.5, -1e-2, -1e-6, -1e-300), 20)
 
-    @pytest.mark.parametrize("src,top,max_panels", [(LAP, 3.0 / ALPHA, 7), (GAU, 3.0, 11)],
-                             ids=["laplacian", "gaussian"])
-    def test_smooth_panels_have_width_at_every_slope(self, monkeypatch, src, top, max_panels):
+    @pytest.mark.parametrize("src,bands,max_panels", [
+        (LAP, (0.0, 0.1, 1.0, 3.0 / ALPHA), 7), (GAU, (0.0, 0.1, 1.0, 3.0), 11),
+        (LAP, (10.0, 100.0, 1e6, 1e12, 1e17, 1e300), 9),
+        (GAU, (10.0, 100.0, 1e6, 1e12, 1e17, 1e300), 15),
+    ], ids=["laplacian", "gaussian", "laplacian-wide", "gaussian-wide"])
+    def test_smooth_panels_have_width_at_every_slope(self, monkeypatch, src, bands, max_panels):
         # past |s| ~ 1e15 the reach 45/|s| is under an ulp of eps, and eps -+ it
         # round to neighbours of eps: such a one-ulp segment is one panel, not
-        # several whose edges round to the same value
+        # several whose edges round to the same value.  Both sources have unit
+        # variance; on [0, eps - span] r is flat and takes one panel, so the
+        # count stays bounded as eps grows (a Gaussian slope took 500 006 panels
+        # at eps = 1e6), and where sigma is under an ulp of eps (1e17) no
+        # source-scale panel has zero width either
         slopes = -np.geomspace(1e-300, 1e300, 6001)
         layouts = []
 
@@ -536,7 +575,7 @@ class TestConvolutionUpperBound:
         monkeypatch.setattr(convolution, "panel_edges", recording_panel_edges)
         # the density is a stand-in: only the layout is checked
         monkeypatch.setattr(convolution, "conv_pdf", lambda *args: np.ones(np.shape(args[-1])))
-        for eps in (0.0, 0.1, 1.0, top):
+        for eps in bands:
             convolution.conv_entropies(src, slopes, EpsilonLoss(eps))
             panels, chain = layouts.pop()
             assert np.all(panels[1] > panels[0])
@@ -714,6 +753,14 @@ class TestGaussianEntropyBound:
         for s in (-1e-120, -1e-200, -1e-300):
             got = gaussian_entropy_bound(src, s, EpsilonLoss(eps)).raw_rate
             assert abs(got - (0.5 * math.log(math.pi * math.e) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
+    @pytest.mark.parametrize("eps", [1e103, 1e200, 1e300])
+    def test_finite_at_huge_bands(self, src, eps):
+        # the kernel variance's eps^3 overflowed at eps = 1e103; with Var g ~
+        # eps^2/3 the bound at s = -1 tends to (1/2) log(2 pi e / 3) - log 2
+        got = gaussian_entropy_bound(src, -1.0, EpsilonLoss(eps)).raw_rate
+        assert abs(got - (0.5 * math.log(2.0 * math.pi * math.e / 3.0) - math.log(2.0))) <= 1e-12
 
     def test_nonnegative_even_at_weak_slopes(self):
         # the max-entropy replacement keeps this bound >= 0 for every slope

@@ -521,6 +521,22 @@ class TestConfigHandling:
                 column = header[2 + ["slb", "ru", "rau", "rge", "trivial"].index(bound)]
                 assert cells[column] != "" or f"{bound}_error:" in cells["flags"]
 
+    @pytest.mark.parametrize("argv, column", [
+        (["bounds", "--epsilon", "1e103", "--grid-min", "1", "--grid-max", "1", "--grid-count",
+          "1", "--bounds", "slb,rge"], "R_ge"),
+        (["bounds", "--source", "gaussian", "--epsilon", "1e6", "--grid-count", "3",
+          "--bounds", "ru"], "R_u"),
+    ], ids=["rge", "gaussian-ru"])
+    def test_huge_band_rows_take_a_value(self, capsys, argv, column):
+        # the kernel variance's eps^3 overflowed at eps = 1e103, and a Gaussian
+        # slope at eps = 1e6 laid out 500 006 panels
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert float(cells[column]) >= 0.0 and "_error:" not in cells["flags"]
+
 
 class TestBatchedColumn:
     """The R_U column of a share is one batch; a slope that fails in it is
@@ -788,6 +804,18 @@ class TestVerify:
         assert by_name["ba_sandwich"]["not_converged"] == [-2.0, -5.0, -20.0]
         assert by_name["ba_grid_convergence"]["not_converged"] == [-5.0, -5.0]
         assert "not_converged" not in by_name["dominance_ru_rge"]
+
+    def test_band_too_wide_for_cf_panels_fails_that_check(self, capsys):
+        # the cf quadrature's 5e102 panels were cast to a negative int64, and
+        # verify ended in a traceback; now the count is that check's error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "--epsilon", "1e103", "--ba-n", "3",
+                                     "--ba-max-iter", "10")
+        assert code == 1 and err == ""
+        line = next(line for line in out.splitlines() if "cf_consistency" in line)
+        assert line.startswith("FAIL cf_consistency")
+        assert "panel count 5e+102 is not below 2^53" in line
 
     def test_grid_convergence_needs_a_coarser_grid(self, capsys):
         # at n = 3 the coarse grid rounds up to n = 3 itself: nothing to compare

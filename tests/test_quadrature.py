@@ -63,6 +63,16 @@ class TestPanelEdges:
         with pytest.raises(ValueError, match="finite"):
             panel_edges([[0.0, 0.5, 1.0], [0.0, bad, 1.0]], 0.5)
 
+    def test_rejects_a_count_from_2_to_the_53(self):
+        # cast to int64, 1e103 panels came out negative and np.repeat raised
+        # "negative dimensions are not allowed", with no word of the count
+        with pytest.raises(ValueError, match=r"panel count 1e\+103 is not below 2\^53"):
+            panel_edges([0.0, 1e102], 0.1)
+        with pytest.raises(ValueError, match=r"is not below 2\^53"):
+            panel_edges([[0.0, 1.0], [0.0, 2.0**53]], 1.0)
+        with pytest.raises(ValueError, match="panel count nan"):
+            panel_edges([0.0, 1.0], math.nan)
+
     def test_nodes_finite_past_half_the_float_range(self):
         nodes, weights = panel_nodes([1e308, 1.7e308], 8)
         assert np.all((nodes > 1e308) & (nodes < 1.7e308)) and np.all(np.isfinite(weights))
@@ -89,19 +99,21 @@ class TestPanelEdges:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0])
     def test_entropy_edges_match_four_segment_loop(self, eps):
+        # one panel on [0, eps - span] where the band holds the source's span,
+        # then the four segments around eps
         loss = EpsilonLoss(eps)
         for s in (-1e-3, -0.5, -1.41421356237, -5.0, -50.0, -200.0, -1e4):
-            for upper, smooth in ((0.05, 1.0), (eps + 0.01, 0.1), (12.0, 1.0), (60.0, 10.6)):
-                fine_half = min(_kernel_reach(s), eps) if eps > 0.0 else 0.0
-                fine_hi = min(eps + _kernel_reach(s), upper)
+            for span, smooth in ((0.05, 1.0), (0.01, 0.1), (12.0, 1.0), (60.0, 10.6)):
+                upper, flat = eps + span, max(eps - span, 0.0)
                 coarse = 2.0 * smooth
                 fine = min(30.0 / abs(s), coarse)
-                bounds = [0.0, max(eps - fine_half, 0.0), min(eps, upper), fine_hi, upper]
-                parts = [reference_panel_edges(bounds[:2], coarse)]
+                bounds = [0.0, flat, max(eps - _kernel_reach(s), flat), eps,
+                          min(eps + _kernel_reach(s), upper), upper]
+                parts = [reference_panel_edges(bounds[:2], math.inf)]
                 parts += [reference_panel_edges(bounds[i:i + 2], length)[1:]
-                          for i, length in ((1, fine), (2, fine), (3, coarse))]
+                          for i, length in ((1, coarse), (2, fine), (3, fine), (4, coarse))]
                 want = np.concatenate(parts)
-                np.testing.assert_array_equal(_entropy_edges(s, loss, upper, smooth), want)
+                np.testing.assert_array_equal(_entropy_edges(s, loss, span, smooth), want)
 
 
 class TestGaussLegendre:

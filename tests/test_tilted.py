@@ -150,6 +150,10 @@ class TestVariance:
         for s in (-1e-160, -1e-200, -5e-324):
             assert tilted_variance(s, EpsilonLoss(eps)) == math.inf
 
+    def test_huge_band_gives_its_value(self):
+        # eps^3 overflowed at eps = 1e103, although Var g ~ eps^2/3 is finite
+        assert tilted_variance(-1.0, EpsilonLoss(1e103)) == pytest.approx(1e206 / 3.0, rel=1e-15)
+
     def test_against_quadrature(self):
         assert tilted_variance(-3.0, EpsilonLoss(0.2)) == pytest.approx(
             oracles.tilted_variance_quad(-3.0, 0.2), abs=1e-9
