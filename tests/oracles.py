@@ -201,6 +201,29 @@ def dense_blahut_gap(x_grid, p_mass, s, eps, q_mass):
     return math.log(float(np.max(kernel.T @ (np.asarray(p_mass, dtype=float) / z))))
 
 
+def dense_kernel_products(x_grid, s, eps, v, rows=256):
+    """K v and K_d v in long double, K[i, j] = exp(s rho(h |i - j|)) and K_d = rho K.
+
+    The offsets are h |i - j| with h = x[1] - x[0], as the solver takes them;
+    both matrices are built densely, a slab of rows at a time, and every sum
+    runs in numpy's long double.
+    """
+    x = np.asarray(x_grid, dtype=float)
+    n = x.size
+    h = np.longdouble(x[1] - x[0])
+    v = np.asarray(v, dtype=np.longdouble)
+    idx = np.arange(n)
+    k_v = np.empty(n, dtype=np.longdouble)
+    kd_v = np.empty(n, dtype=np.longdouble)
+    for start in range(0, n, rows):
+        offsets = h * np.abs(idx[start:start + rows, None] - idx[None, :]).astype(np.longdouble)
+        rho = np.maximum(offsets - np.longdouble(eps), np.longdouble(0.0))
+        kernel = np.exp(np.longdouble(s) * rho)
+        k_v[start:start + rows] = kernel @ v
+        kd_v[start:start + rows] = (rho * kernel) @ v
+    return k_v, kd_v
+
+
 def cosine_transform_quad(s, eps, omega):
     """2 * int_0^inf g(x) cos(omega x) dx by oscillatory-weight quadrature."""
     c = 2.0 * (1.0 + abs(s) * eps) / abs(s)

@@ -22,6 +22,13 @@ LAP = Laplacian(ALPHA)
 GAU = Gaussian(1.0)
 
 
+def solve(problem, **kwargs):
+    """ba_iterate, checking that the running certificate never exceeds the final gap."""
+    res = ba_iterate(problem, **kwargs)
+    assert res.certified_gap <= res.gap
+    return res
+
+
 class TestBuildProblem:
     def test_construction_contract(self):
         prob = build_problem(GAU, EpsilonLoss(0.1), -2.0, n=2001)
@@ -43,7 +50,7 @@ class TestBuildProblem:
 
     def test_minimal_toy_problem(self):
         prob = build_problem(GAU, EpsilonLoss(0.0), -1.0, n=3)
-        res = ba_iterate(prob, tol=1e-12, max_iter=5000)
+        res = solve(prob, tol=1e-12, max_iter=5000)
         assert res.q_mass.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tabulated_outer_cells_are_whole(self):
@@ -71,29 +78,49 @@ class TestBuildProblem:
         prob = BAProblem(x_grid=base.x_grid, p_mass=base.p_mass, y_grid=base.y_grid,
                          loss=base.loss, s="-2")
         assert type(prob.s) is float and prob.s == -2.0
-        assert type(ba_iterate(prob, max_iter=20).rate) is float
+        assert type(solve(prob, max_iter=20).rate) is float
         (pt,) = ba_curve(GAU, EpsilonLoss(0.1), np.array([-2.0]), n=101, max_iter=20)
         assert pt.flag in ("", "ba_not_converged")
         assert type(pt.r) is float and type(pt.d) is float
 
 
 class TestKernelApplication:
-    @pytest.mark.parametrize("s", [-0.5, -3.0, -40.0])
-    def test_fft_toeplitz_matches_dense_matrix(self, s):
-        from rdbounds.ba import _ToeplitzKernel
+    @pytest.mark.parametrize("s", [-0.5, -3.0, -40.0, -1e4])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 20.0])
+    def test_products_are_exact_entrywise(self, s, eps):
+        # a vector spanning 60 decades: every entry of K v and K_d v within
+        # 1e-13 of a long-double dense product, relative to itself, wherever
+        # that product is a normal double.  eps = 20 is wider than the grid;
+        # at s = -1e4 the ratio r = e^(s h) underflows on the coarse grids
+        from rdbounds.ba import _EpsKernel
 
         rng = np.random.default_rng(7)
-        loss = EpsilonLoss(0.1)
-        # the FFT length is the least power of two >= 2n - 1: n = 64 leaves it
-        # one slot to spare and n = 65 doubles it
-        for n, size in ((51, 128), (64, 128), (65, 256)):
+        tiny = np.finfo(float).tiny
+        for n in (2, 3, 51, 64, 65, 2001):
             x = np.linspace(-4.0, 4.0, n)
-            dense = np.exp(s * loss(x[:, None] - x[None, :]))
-            kernel = _ToeplitzKernel(np.exp(s * loss((x[1] - x[0]) * np.arange(n))))
-            assert kernel.size == size
-            for _ in range(4):
-                v = rng.random(n)
-                assert np.max(np.abs(kernel.apply(v) - dense @ v)) < 1e-13
+            kernel = _EpsKernel(n, float(x[1] - x[0]), s, eps)
+            v = 10.0 ** rng.uniform(-60.0, 0.0, n)
+            want_k, want_d = oracles.dense_kernel_products(x, s, eps, v)
+            for got, want in ((kernel.apply(v), want_k),
+                              (kernel.apply(v, derivative=True), want_d)):
+                assert got.shape == (n,)
+                normal = want >= tiny
+                err = np.abs(got - want)
+                assert np.all(err[normal] <= 1e-13 * want[normal]), (n, float(np.max(err / want)))
+                assert np.all(err[~normal] <= tiny)
+
+    def test_wide_band_keeps_memory_linear(self):
+        # every offset inside the band: K v is the sum of v in each entry, and
+        # no matrix holds more than 2n entries
+        from rdbounds.ba import _EpsKernel
+
+        n = 2001
+        kernel = _EpsKernel(n, 0.01, -3.0, 100.0)
+        blocks, _, mats, _ = kernel.plan
+        assert max(a.size for a in (mats[0], *(t for _, t in blocks))) <= 2 * n
+        v = np.random.default_rng(1).random(n)
+        assert np.allclose(kernel.apply(v), v.sum(), rtol=1e-14)
+        assert not np.any(kernel.apply(v, derivative=True))
 
 
 class TestTwoPointSource:
@@ -106,7 +133,7 @@ class TestTwoPointSource:
             loss=EpsilonLoss(0.0),
             s=s,
         )
-        res = ba_iterate(prob, tol=1e-14, max_iter=10_000)
+        res = solve(prob, tol=1e-14, max_iter=10_000)
         d_want, r_want = oracles.two_point_brute_force(s)
         assert res.rate <= math.log(2.0) + 1e-12
         assert res.distortion >= 0.0
@@ -114,10 +141,30 @@ class TestTwoPointSource:
         assert res.rate == pytest.approx(r_want, abs=1e-6)
 
 
+class TestCertifiedStop:
+    def test_stall_is_converged_only_once_certified(self):
+        # sup|q' - q| < tol holds after 6 iterations here, while Blahut's gap
+        # is still 3.6e-2; the solve goes on until the certificate holds
+        prob = build_problem(GAU, EpsilonLoss(0.1), -20.0, n=2001)
+        res = solve(prob, tol=1e-10, max_iter=20_000)
+        assert res.converged
+        assert res.certified_gap <= 1e-4
+        assert oracles.dense_blahut_gap(prob.x_grid, prob.p_mass, prob.s, 0.1,
+                                        res.q_mass) <= 1e-4
+
+    def test_earlier_iterate_certifies_a_later_stall(self):
+        # the stall at s = -4.52 comes after the gap has risen again: an
+        # earlier iterate's lower bound certifies it, below the returned q's gap
+        prob = build_problem(GAU, EpsilonLoss(0.1), -4.52, n=2001)
+        res = solve(prob, tol=1e-10, max_iter=20_000)
+        assert res.converged and res.iterations < 100
+        assert res.certified_gap <= 1e-4 < res.gap
+
+
 class TestZeroRateLimit:
     def test_rate_collapses_for_weak_slopes(self):
         prob = build_problem(LAP, EpsilonLoss(0.1), -1e-6, n=501)
-        res = ba_iterate(prob, tol=1e-10, max_iter=2000)
+        res = solve(prob, tol=1e-10, max_iter=2000)
         assert res.rate < 1e-4
         assert not res.converged  # the reproduction mass drifts too slowly to settle
         assert res.distortion >= LAP.d_max(EpsilonLoss(0.1)) - 1e-3
@@ -127,7 +174,7 @@ class TestZeroRateLimit:
         # constant reproduction, so D tends to d_max and R to zero
         loss = EpsilonLoss(0.1)
         prob = build_problem(LAP, loss, -0.05, n=1001)
-        res = ba_iterate(prob, tol=1e-10, max_iter=30_000)
+        res = solve(prob, tol=1e-10, max_iter=30_000)
         assert abs(res.distortion - LAP.d_max(loss)) < 2e-3
         assert res.rate < 1e-3
 
@@ -135,7 +182,7 @@ class TestZeroRateLimit:
 class TestExactCurve:
     def test_absolute_error_curve_single_slope(self):
         prob = build_problem(LAP, EpsilonLoss(0.0), -4.0, n=1001)
-        res = ba_iterate(prob, tol=1e-10, max_iter=15_000)
+        res = solve(prob, tol=1e-10, max_iter=15_000)
         assert abs(res.rate + math.log(ALPHA * res.distortion)) < 2e-2
 
 
@@ -143,7 +190,7 @@ class TestIterationDiagnostics:
     def test_objective_monotone_and_q_normalized(self):
         for src, s in ((LAP, -3.0), (GAU, -7.0)):
             prob = build_problem(src, EpsilonLoss(0.1), s, n=801)
-            res = ba_iterate(prob, tol=1e-11, max_iter=8000)
+            res = solve(prob, tol=1e-11, max_iter=8000)
             assert res.objective_violations == 0
             assert res.max_objective_rise <= 1e-12
             assert res.q_mass.min() >= 0.0
@@ -151,14 +198,14 @@ class TestIterationDiagnostics:
 
     def test_non_convergence_is_reported(self):
         prob = build_problem(LAP, EpsilonLoss(0.1), -2.0, n=501)
-        res = ba_iterate(prob, tol=1e-12, max_iter=5)
+        res = solve(prob, tol=1e-12, max_iter=5)
         assert not res.converged
         assert res.iterations == 5
 
     @pytest.mark.parametrize("max_iter", [5, 50, 500])
     def test_gap_matches_dense_oracle(self, max_iter):
         prob = build_problem(LAP, EpsilonLoss(0.1), -5.0, n=201)
-        res = ba_iterate(prob, tol=1e-12, max_iter=max_iter)
+        res = solve(prob, tol=1e-12, max_iter=max_iter)
         want = oracles.dense_blahut_gap(prob.x_grid, prob.p_mass, prob.s, 0.1, res.q_mass)
         assert want > 0.0
         assert res.gap == pytest.approx(want, rel=1e-3)
@@ -166,9 +213,9 @@ class TestIterationDiagnostics:
     def test_grid_doubling_stability(self):
         loss = EpsilonLoss(0.1)
         for src in (LAP, GAU):
-            coarse = ba_iterate(build_problem(src, loss, -5.0, n=1001), tol=1e-9,
+            coarse = solve(build_problem(src, loss, -5.0, n=1001), tol=1e-9,
                                 max_iter=15_000)
-            fine = ba_iterate(build_problem(src, loss, -5.0, n=2001), tol=1e-9,
+            fine = solve(build_problem(src, loss, -5.0, n=2001), tol=1e-9,
                               max_iter=15_000)
             assert abs(coarse.distortion - fine.distortion) < 5e-3
             assert abs(coarse.rate - fine.rate) < 5e-3
