@@ -1,24 +1,23 @@
 """Discretized Blahut-Arimoto fixed-point solver for rate-distortion points.
 
-The solver sweeps the slope parameter: for each s < 0 it iterates the
-reproduction-marginal fixed point
+For each slope s < 0 the solver iterates the reproduction-marginal fixed point
 
     q[j] <- q[j] * sum_i p[i] K[i, j] / (K q)[i],      K[i, j] = exp(s * rho(x_i - y_j))
 
-starting from the uniform distribution.  Identical uniform source and
-reproduction grids make K symmetric Toeplitz: 1 on offsets inside the band
-and geometric in the offset past it.  ``_EpsKernel`` applies it exactly in
-blocks, with positive terms only, so each entry of a product is accurate
-relative to itself.
+from the uniform distribution.  Identical uniform source and reproduction
+grids make K symmetric Toeplitz: 1 on offsets inside the band and geometric
+past it, and ``_EpsKernel`` applies it exactly, each entry accurate relative
+to itself.
 
-The variational objective F(q) = -sum_i p[i] log (K q)[i] is evaluated at
-every iterate; the update never increases it, which is checked against the
-previous iterate with 1e-12 slack, and any violation is counted in the result
-instead of aborting the sweep.  The product the update takes gives Blahut's
-gap log max_j (K (p / K q))_j at no cost (IEEE T-IT 18, 1972), and with it a
-lower bound F - gap on min F at every iterate.  A step that merely stalls,
-sup|q' - q| < tol, is no stop: the solve ends once it has stalled and the
-best lower bound so far lies within 1e-4 nats of F, or at the cap.
+The objective F(q) = -sum_i p[i] log (K q)[i] is evaluated at every iterate;
+the update never increases it, which is checked against the previous iterate
+with 1e-12 slack, and any violation is counted in the result instead of
+aborting the sweep.  The update's own product gives Blahut's gap
+log max_j (K (p / K q))_j (IEEE T-IT 18, 1972): F(q) lies at most that far
+above min F.  Plain BA's gap is not monotone, so the solve keeps the iterate
+with the smallest gap.  A step that merely stalls, sup|q' - q| < tol, is no
+stop: the solve ends once it has stalled and the kept gap is at most 1e-4
+nats, or at the cap.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .tilted import EpsilonLoss, _check_slope
 __all__ = ["BAProblem", "BAResult", "auto_span", "build_problem", "ba_iterate", "ba_curve"]
 
 _TINY = 1e-300
-# a stalled iterate counts as converged once its certificate is this small (nats)
+# a stall counts as converged once the smallest gap is this small (nats)
 _CERTIFIED_GAP = 1e-4
 
 
@@ -67,13 +66,14 @@ class BAProblem:
 
 @dataclass
 class BAResult:
-    """Converged (or last) iterate of one fixed-slope solve.
+    """The iterate with the smallest gap in one fixed-slope solve.
 
     ``gap`` is Blahut's bound log max_j (K^T (p / K q))_j at the returned q:
     F(q) - gap <= min F <= F(q) for the objective F of the module docstring.
     Every iterate's F_k - gap_k is such a lower bound, and ``certified_gap``
-    is F(q) - max_k (F_k - gap_k), at most ``gap``: the objective at q lies at
-    most that far above its minimum.  The stop rule reads it.
+    is F(q) - max_k (F_k - gap_k), at most ``gap``.  ``converged`` means that
+    the solve stalled while ``gap`` was at most 1e-4 nats; ``iterations``
+    counts the updates made, and the returned q may be an earlier iterate.
     """
 
     q_mass: np.ndarray
@@ -112,12 +112,14 @@ def build_problem(source: Source, loss: EpsilonLoss, s: float, n: int = 2001) ->
 class _EpsKernel:
     """Exact products with K[i, j] = exp(s rho(h |i - j|)) and K_d = dK/ds = rho K.
 
-    The n grid points are cut into nb blocks of L cells (the last one padded
-    with zeros), and blocks D apart hold the offsets D L + a - b, a and b the
-    cells' places in their blocks:
+    The grid is cut into nb blocks of L = ceil(sqrt(n / 2)) cells, so that an
+    nb x nb matrix holds about 2n entries, and blocks D apart hold the offsets
+    D L + a - b, a and b the cells' places in their blocks:
 
     * D = 0, and any D whose offsets straddle the band's edge: a dense L x L
-      matrix, one small matmul a side;
+      matrix.  Output block I gathers input blocks I and I -+ D from a buffer
+      zero-padded by the largest such D, and one matmul with the matrices
+      stacked gives the near field;
     * offsets wholly inside the band (K = 1, K_d = 0): the input blocks' sums,
       spread by an nb x nb matrix of ones and zeros;
     * D with mu_D = (D - 1) L h - eps >= 0: every entry is r^a exp(s mu_D)
@@ -126,71 +128,88 @@ class _EpsKernel:
       matmul carry them, and K_d follows by the product rule
       (rho = h a + mu_D + h (L - b)).
 
-    Every exponent is s times a non-negative number and every term is
-    positive, so nothing overflows and each output entry is accurate relative
-    to itself, however widely the input's entries range.  With
-    L = ceil(sqrt(n)) the matrices take O(n) memory at any eps.
+    Terms that are zero everywhere are left out.  Every exponent is s times a
+    non-negative number and every term is positive: nothing overflows, and
+    each entry is accurate relative to itself, however widely the input's
+    entries range.  The matrices take O(n + L^2) memory at any eps.
     """
 
     def __init__(self, n: int, h: float, s: float, eps: float):
-        L = math.isqrt(n - 1) + 1
+        L = math.isqrt((n - 1) // 2) + 1
         nb = -(-n // L)
-        self.n, self.shape = n, (nb, L)
-        a = np.arange(L)
-        d = np.arange(nb)
+        a, d = np.arange(L), np.arange(nb)
         mu = h * ((d - 1) * L) - eps
         geometric = (d >= 1) & (mu >= 0.0)
         band = (d >= 1) & (h * ((d + 1) * L - 1) <= eps)
-        dense = np.flatnonzero(~(geometric | band))  # starts with D = 0
+        dense = np.flatnonzero(~(geometric | band))  # D = 0, then the band's edge
+        self.n, self.pad = n, int(dense[-1])
+        self.shape = (nb + 2 * self.pad, L)
+        # output block I takes input blocks I, I - D and I + D, D in dense[1:]
+        self.index = d[:, None] + self.pad + np.concatenate([[0], -dense[1:], dense[1:]])
+        self.gathered = np.empty((nb, self.index.shape[1], L))
+        self.blocks = np.empty((nb, L))
+        self.out = self.blocks.reshape(-1)[:n]
 
-        def entries(D):
-            rho = np.maximum(h * np.abs(D * L + a[:, None] - a[None, :]) - eps, 0.0)
-            k = np.exp(s * rho)
-            return k, rho * k
-
-        k_blocks, d_blocks = zip(*map(entries, dense))
-        lag = d[:, None] - d[None, :]
+        rho = np.maximum(h * np.abs(dense[:, None, None] * L + a[:, None] - a) - eps, 0.0)
+        lag = d[:, None] - d
         below = np.maximum(lag, 0)  # 0 on and above the diagonal, where geometric[0] is False
         mu = np.maximum(mu, 0.0)
         g = np.where(geometric[below], np.exp(s * mu)[below], 0.0)
         g_mu = g * mu[below]
         ra, rb = np.exp(s * (h * a)), np.exp(s * (h * (L - a)))
         ha, hb = h * a, h * (L - a)
-        ones = np.ones(L)
+        far = [(ra, g, rb), (rb, g.T, ra)] if geometric.any() else []
+        far_d = [(ha * ra, g, rb), (ra, g_mu, rb), (ra, g, hb * rb), (hb * rb, g.T, ra),
+                 (rb, g_mu.T, ra), (rb, g.T, ha * ra)] if far else []
+        if band.any():
+            ones = np.ones(L)
+            far.append((ones, band[np.abs(lag)].astype(float), ones))
 
-        def plan(blocks, *terms):
+        def operator(blocks, terms):
             # a term (left, matrix, right) adds left[a] (matrix @ (V @ right))[I]
-            left, mats, right = zip(*terms)
-            return (list(zip(dense, blocks)), np.stack(right, axis=1), np.stack(mats),
-                    np.stack(left))
+            near = np.concatenate([blocks[0], *blocks[1:].transpose(0, 2, 1), *blocks[1:]])
+            T = len(terms)
+            left, mats, right = np.zeros((T, L)), np.zeros((T, nb, nb)), np.zeros((T, L))
+            for t, term in enumerate(terms):
+                left[t], mats[t], right[t] = term
+            sums, carries = np.empty((T, nb)), np.empty((T, nb, 1))
+            return (near, right, sums, mats, sums[:, :, None], carries, carries[:, :, 0].T,
+                    left, np.empty((nb, L)))
 
-        self.plan = plan(k_blocks, (ra, g, rb), (rb, g.T, ra),
-                         (ones, band[np.abs(lag)].astype(float), ones))
-        self.plan_d = plan(d_blocks, (ha * ra, g, rb), (ra, g_mu, rb), (ra, g, hb * rb),
-                           (hb * rb, g.T, ra), (rb, g_mu.T, ra), (rb, g.T, ha * ra))
+        k = np.exp(s * rho)
+        self.ops = (operator(k, far), operator(rho * k, far_d))
 
-    def apply(self, v: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """K v, or K_d v when ``derivative``."""
-        blocks, right, mats, left = self.plan_d if derivative else self.plan
-        V = np.zeros(self.shape)
-        V.ravel()[: self.n] = v
-        (_, t0), *near = blocks
-        out = V @ t0
-        for D, t in near:
-            out[D:] += V[:-D] @ t.T
-            out[:-D] += V[D:] @ t
-        x = V @ right
-        out += (mats @ x.T[:, :, None])[:, :, 0].T @ left
-        return out.ravel()[: self.n]
+    def vector(self) -> tuple[tuple, np.ndarray]:
+        """A zero vector: the handle ``apply`` takes, and the view of its n entries."""
+        buffer = np.zeros(self.shape)
+        # the near field's input: the gathered blocks, or the buffer when no D > 0
+        rows = self.gathered.reshape(len(self.index), -1) if self.pad else buffer
+        handle = (buffer if self.pad else None, rows, rows[:, : self.shape[1]].T)
+        return handle, buffer[self.pad:].reshape(-1)[: self.n]
+
+    def apply(self, handle: tuple, derivative: bool = False) -> np.ndarray:
+        """K v, or K_d v when ``derivative``, in ``self.out`` until the next product."""
+        near, right, sums, mats, sums3, carries, carries_t, left, far = self.ops[derivative]
+        buffer, rows, own = handle
+        if buffer is not None:
+            np.take(buffer, self.index, axis=0, out=self.gathered, mode="clip")
+        np.matmul(rows, near, out=self.blocks)
+        np.matmul(right, own, out=sums)
+        np.matmul(mats, sums3, out=carries)
+        np.matmul(carries_t, left, out=far)
+        np.add(self.blocks, far, out=self.blocks)
+        return self.out
 
 
 def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) -> BAResult:
     """Run the fixed point from uniform q until a certified stall or max_iter.
 
-    The iterate has stalled once sup|q' - q| < tol, and the stop counts as
-    converged once the running certificate is at most 1e-4 nats as well;
-    until then the iterations go on.  Non-convergence is reported through the
-    ``converged`` flag; the last iterate is still returned.
+    Each pass evaluates, at the current iterate, z = K q, the objective, the
+    update's product w = K (p / z) and Blahut's gap log max w, then updates
+    q.  The iterate has stalled once sup|q' - q| < tol, and the solve stops,
+    converged, at the first stall once the smallest gap so far is at most
+    1e-4 nats.  The iterate with that gap is returned, converged or not.  The
+    vectors live in the kernel's buffers, and the loop allocates nothing.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -198,60 +217,50 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
     n = problem.x_grid.size
     kernel = _EpsKernel(n, problem.spacing, problem.s, problem.loss.epsilon)
     p = problem.p_mass
-
-    q = np.full(n, 1.0 / n)
-    previous = math.inf
-    lower = -math.inf
-    violations = 0
-    max_rise = 0.0
-    stalled = False
-    # each pass evaluates z, F, the update's product w and the gap at the
-    # current q (after `iterations` updates), then stops or updates q
+    (q_at, q), (next_at, q_next), (u_at, u), (best_at, best) = (
+        kernel.vector() for _ in range(4))
+    q[:] = 1.0 / n
+    log_z, step, tiny = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    previous, lower, best_gap = math.inf, -math.inf, math.inf
+    violations, max_rise, stalled = 0, 0.0, False
     for iterations in range(max_iter + 1):
-        z = np.maximum(kernel.apply(q), _TINY)
-        objective = -float(np.dot(p, np.log(z)))
+        z = kernel.apply(q_at)
+        np.maximum(z, _TINY, out=z)
+        objective = -float(np.dot(p, np.log(z, out=log_z)))
         if objective > previous + 1e-12:
             violations += 1
             max_rise = max(max_rise, objective - previous)
         previous = objective
-        w = kernel.apply(p / z)
+        np.divide(p, z, out=u)
+        w = kernel.apply(u_at)
         gap = math.log(float(w.max()))
         lower = max(lower, objective - gap)
-        certified = min(objective - lower, gap)  # the min keeps round-off from passing gap
-        converged = stalled and certified <= _CERTIFIED_GAP
+        if gap < best_gap:
+            best_gap, best_objective = gap, objective
+            np.copyto(best, q)
+        converged = stalled and best_gap <= _CERTIFIED_GAP
         if converged or iterations == max_iter:
             break
-        q_next = q * w
-        q_next[q_next < _TINY] = 0.0
+        np.multiply(q, w, out=q_next)
+        np.copyto(q_next, 0.0, where=np.less(q_next, _TINY, out=tiny))
         total = float(q_next.sum())
         if not 0.0 < total < math.inf:
             raise ArithmeticError("Blahut-Arimoto iterate became non-finite")
-        q_next /= total
-        stalled = float(np.max(np.abs(q_next - q))) < tol
-        q = q_next
+        np.divide(q_next, total, out=q_next)
+        stalled = float(np.abs(np.subtract(q_next, q, out=step), out=step).max()) < tol
+        (q_at, q), (next_at, q_next) = (next_at, q_next), (q_at, q)
 
-    distortion = float(np.dot(p, kernel.apply(q, derivative=True) / z))
-    return BAResult(
-        q_mass=q,
-        distortion=distortion,
-        rate=max(0.0, problem.s * distortion + objective),
-        iterations=iterations,
-        converged=converged,
-        objective_violations=violations,
-        max_objective_rise=max_rise,
-        gap=gap,
-        certified_gap=certified,
-    )
+    z = np.maximum(kernel.apply(best_at), _TINY)
+    distortion = float(np.dot(p, kernel.apply(best_at, derivative=True) / z))
+    return BAResult(q_mass=best.copy(), distortion=distortion,
+                    rate=max(0.0, problem.s * distortion + best_objective),
+                    iterations=iterations, converged=converged,
+                    objective_violations=violations, max_objective_rise=max_rise,
+                    gap=best_gap, certified_gap=min(best_objective - lower, best_gap))
 
 
-def ba_curve(
-    source: Source,
-    loss: EpsilonLoss,
-    s_list,
-    n: int = 2001,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> list[RDPoint]:
+def ba_curve(source: Source, loss: EpsilonLoss, s_list, n: int = 2001, tol: float = 1e-10,
+             max_iter: int = 200_000) -> list[RDPoint]:
     """One solve per slope; points sorted by distortion, failures flagged per point."""
     s_list = list(s_list)
     if not s_list:

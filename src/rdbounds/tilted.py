@@ -109,13 +109,14 @@ def slope_of_distortion(d: float, loss: EpsilonLoss) -> float:
     """Inverse of distortion_of_slope.
 
     eps = 0 takes its own exact branch (s = -1/D); the eps > 0 root is written
-    in quotient form, which is free of cancellation for d >> eps.
+    in quotient form, which is free of cancellation for d >> eps, and takes
+    sqrt(d) sqrt(d + 4 eps), whose product does not overflow before the sum.
     """
     d = _positive(d, "distortion")
     eps = loss.epsilon
     if eps == 0.0:
         return -1.0 / d
-    return -2.0 / (d + math.sqrt(d * (d + 4.0 * eps)))
+    return -2.0 / (d + math.sqrt(d) * math.sqrt(d + 4.0 * eps))
 
 
 def _band_variance(b: float, eps: float, unit: float) -> float:

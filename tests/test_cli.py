@@ -488,7 +488,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, pair", [
         (["bounds", "--epsilon", "0.1", "--grid-min", "1e300"], "D = 0.0"),
         (["bounds", "--grid-min", "1e-320"], "D = inf"),
-        (["bounds", "--epsilon", "0.1", "--grid-var", "d", "--grid-min", "1e300"], "s = -0.0"),
+        # d + sqrt(d) sqrt(d + 4 eps) overflows from about 9e307, and s = -2 / inf
+        (["bounds", "--epsilon", "0.1", "--grid-var", "d", "--grid-min", "1e308"], "s = -0.0"),
     ])
     def test_grid_value_outside_the_domain_is_config_error(self, capsys, argv, pair):
         code, out, err = run_cli(capsys, *argv)

@@ -114,6 +114,8 @@ class TestDistortionMap:
     def test_inverse_values(self):
         assert slope_of_distortion(1.0, EpsilonLoss(0.0)) == pytest.approx(-1.0, rel=1e-15)
         assert slope_of_distortion(0.25, EpsilonLoss(0.5)) == pytest.approx(-2.0, rel=1e-15)
+        # d (d + 4 eps) would overflow; -1/d is the limit of the slope
+        assert slope_of_distortion(1e200, EpsilonLoss(0.1)) == pytest.approx(-1e-200, rel=1e-15)
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, 0.1, 1.0])
     def test_roundtrip(self, eps):
