@@ -11,9 +11,9 @@ Implemented bounds, all in nats:
   an upper bound for every epsilon > 0
 * ``convolution_upper_bounds`` -- h(g * p) - h(g) via the additive test channel
   at a batch of slopes, with h(g * p) from the exact convolution densities
-  in ``convolution``: one panel layout for the whole batch, its nodes in
-  chunks of at most ``convolution.NODE_BUDGET``, 20-node panels for a
-  Gaussian; ``convolution_upper_bound`` is its one-slope case
+  in ``convolution``: one panel layout for the whole batch, its nodes (a
+  Gaussian's erfcx arguments) in chunks of at most ``convolution.NODE_BUDGET``,
+  20-node panels for a Gaussian; ``convolution_upper_bound`` is its one-slope case
 * ``gaussian_entropy_bound``   -- replaces h(g * p) by the max-entropy Gaussian
 * ``analytic_upper_bound_laplacian`` -- closed-form upper bound on h(g * p)
   for Laplacian sources

@@ -8,16 +8,18 @@ for the Laplacian and the Gaussian, and an exact cell sum for a tabulated
 source (see _TabulatedGeometry).  The Laplacian and tabulated ones are sums
 of positive terms, so they keep their relative accuracy where r is tiny.
 The Gaussian's error functions come from one numpy erfcx, a fixed
-polynomial (see _ERFCX_POWERS), so no part of the package loads scipy.
+polynomial (see _ERFCX_BLOCKS), so no part of the package loads scipy.
 
-The entropy of r is a Gauss-Legendre panel sum per slope, plus a closed form
-r0 (1 - log r0)/|s| past each outer break, where r = r0 e^{-|s| t}.  A Laplacian
-or Gaussian batch, LAPLACIAN_NODES = 40 or GAUSSIAN_NODES = 20 nodes per panel,
-lays its panels on [0, tail span(1e-16) + eps] in one ``panel_edges`` call: at
-most 9 a Laplacian slope and 15 a Gaussian one at any eps (7, 11 to 3 sigma).
-Their nodes are evaluated in chunks of whole slopes of at most NODE_BUDGET
-nodes, so that no temporary array reaches glibc's 128 KiB mmap threshold.  A
-tabulated batch shares one slope-free geometry: 8-node panels between the
+The entropy of r is a Gauss-Legendre panel sum per slope on [0, far], with
+far = eps + tail span(1e-16) and [0, eps - span] one flat panel, plus
+r0 (1 - log r0)/|s| past far, where r = r0 e^{-|s| t}.  A Gaussian r is analytic
+on the scale sigma at every slope: a batch shares one layout, GAUSSIAN_NODES = 20
+nodes on panels of at most 4 sigma, takes its band term once and only the two
+tails per slope.  A Laplacian slope lays its own panels, LAPLACIAN_NODES = 40
+nodes each and at most 30/|s| near eps.  Nodes go in chunks of whole slopes of
+at most NODE_BUDGET (erfcx arguments for a Gaussian), so that no temporary array
+reaches glibc's 128 KiB mmap threshold.
+A tabulated batch shares one slope-free geometry: 8-node panels between the
 breaks (cell edge) +- eps.  Each slope is summed by its own np.dot in panel
 order, so its value does not depend on the batch or the chunk it falls in.
 """
@@ -35,8 +37,8 @@ from .tilted import EpsilonLoss, _check_slope, _check_slopes, _kernel_reach, _no
 
 __all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropies"]
 
-# nodes per chunk of a batched entropy: the largest temporary, the erfcx
-# powers of a Gaussian chunk, is 5 x 2048 doubles = 80 KiB
+# Laplacian nodes or Gaussian erfcx arguments per chunk of a batched entropy:
+# the largest temporary, erfcx's powers, is 5 x 2048 doubles = 80 KiB
 NODE_BUDGET = 2048
 # Gauss-Legendre nodes per Gaussian panel: for eps from 0 to 3 sigma and
 # |s| sigma in [1e-4, 1e5] the 20-node R_U is within 1e-14 of the 64-node one
@@ -50,17 +52,17 @@ LAPLACIAN_NODES = 40
 TABULATED_NODE_LIMIT = 2**21
 
 
-def _entropy_edges(s, loss: EpsilonLoss, span: float, smooth_scale: float):
-    """Panels on [0, eps + span] for -r log r, span the source's 1e-16 tail span.
+def _entropy_edges(s, loss: EpsilonLoss, span: float, alpha: float):
+    """Laplacian panels on [0, eps + span] for -r log r, span the 1e-16 tail span.
 
     On [0, eps - span] the band holds all but 1e-16 of the mass, so r is flat:
-    one panel.  Then source-scale panels, at most 30/|s| near eps, and none
-    under two ulps of eps, so a segment under an ulp (a reach 45/|s|, or the
-    source's scale) is one panel, not several of zero width.  One slope gives
-    panel_edges' edge array; an array of them its (panels, chain).
+    one panel.  Then panels of at most 30/alpha, at most 30/|s| near eps, and
+    none under two ulps of eps, so a segment under an ulp (a reach 45/|s|, or
+    the source's scale) is one panel, not several of zero width.  One slope
+    gives panel_edges' edge array; an array of them its (panels, chain).
     """
     eps, ulps = loss.epsilon, 2.0 * np.spacing(loss.epsilon)
-    far, flat, coarse = eps + span, max(eps - span, 0.0), max(2.0 * smooth_scale, ulps)
+    far, flat, coarse = eps + span, max(eps - span, 0.0), max(30.0 / alpha, ulps)
     with np.errstate(over="ignore"):  # inf below |s| ~ 2.5e-307, capped by the minima
         reach, decay = _kernel_reach(s), 30.0 / np.abs(s)
     fine = np.maximum(np.minimum(decay, coarse), ulps)
@@ -113,11 +115,11 @@ def laplacian_conv_pdf(y, s, alpha: float, loss: EpsilonLoss):
 
 # log(erfcx(z) / t) with t = 2 / (2 + z) is smooth on t in (0, 1], with the
 # limit log(1 / (2 sqrt(pi))) at t = 0 (z = inf).  These are the powers of
-# u = 2t - 1, lowest first, of its Chebyshev series on u in [-1, 1] cut at
+# u = 2t - 1, lowest first, five a row, of its Chebyshev series on [-1, 1] cut at
 # degree 24 (fitted at 120 Chebyshev nodes in 50-digit arithmetic); the
 # terms left out are below 3e-16, and erfcx below is within 8e-16 relative
 # of a 40-digit reference on z in [0, 1e12].
-_ERFCX_POWERS = (
+_ERFCX_BLOCKS = np.reshape((
     -0.6717940840566922, 0.6726432239776583, 0.047343306841863525, -0.04689561023132892,
     -0.009872689364099222, 0.008824938561312326, 0.0017589335074028032, -0.002345812552995894,
     -0.00014624628742128406, 0.0006736791352568864, -9.373894767667295e-05,
@@ -126,10 +128,7 @@ _ERFCX_POWERS = (
     -2.963484230959699e-06, -1.409445991433531e-06, 1.283394915356199e-06,
     -4.146853754663641e-08, -2.895626567435524e-07, 7.745572408758512e-08,
     2.980513364515168e-08, -1.2776086554968677e-08,
-)
-
-
-_ERFCX_BLOCKS = np.reshape(_ERFCX_POWERS, (5, 5))
+), (5, 5))
 
 
 def _erfcx(z):
@@ -160,36 +159,36 @@ def _erfc(x, scaled):
     return np.where(x < 0.0, 2.0 - direct, direct)
 
 
-def _gaussian_conv_pdf(y, s, sigma: float, loss: EpsilonLoss):
-    """Closed form of (tilted kernel * N(0, sigma^2))(y): band plus two tails.
+def _gaussian_band(ay, sigma: float, eps: float):
+    """C(s) r's band term for N(0, sigma^2): P(|X - y| <= eps) at |y| = ay, slope-free."""
+    x = np.stack([ay - eps, ay + eps]) / (math.sqrt(2.0) * sigma)
+    with np.errstate(over="ignore"):  # x^2 -> inf past 1e154, where erfc is 0
+        erfc = _erfc(x, _erfcx(np.abs(x)))
+    return 0.5 * (erfc[0] - erfc[1])
+
+
+def _gaussian_tails(ay, b, sigma: float, eps: float):
+    """C(s) r's two tail terms for N(0, sigma^2) at |y| = ay and |s| = b (broadcast).
 
     The kernel's right tail contributes, times C(s) and at offset w = y - eps,
     e^{s^2 sigma^2 / 2 + s w} P(Z > (|s| sigma^2 - w) / sigma), an exponentially
     modified Gaussian; the left tail is the same at w = -y - eps.  Where the
     normal argument is positive the product is rewritten with erfcx, which
-    keeps it free of overflow.  One erfcx call serves the four error-function
-    arguments of each node: the band's two and the tails' two.  s is one
-    slope or an array of them broadcast against y.
+    keeps it free of overflow: one erfcx argument per tail and point.
     """
-    eps, b = loss.epsilon, np.abs(s)
-    ay = np.broadcast_to(np.abs(y), np.broadcast_shapes(np.shape(y), b.shape))
+    ay = np.broadcast_to(ay, np.broadcast_shapes(np.shape(ay), np.shape(b)))
     w = np.stack([ay - eps, -ay - eps])
     z = (b * sigma * sigma - w) / sigma
-    # rows: the band edges (ay -+ eps) / (sqrt 2 sigma), then the two tails
-    x = np.concatenate([np.stack([ay - eps, ay + eps]) / (math.sqrt(2.0) * sigma),
-                        z / math.sqrt(2.0)])
-    scaled = _erfcx(np.abs(x))
+    scaled = _erfcx(np.abs(z / math.sqrt(2.0)))
     # (|s| sigma)^2 overflows to inf past |s| sigma ~ 1e154, in the tail
     # branch that np.where drops
     with np.errstate(over="ignore"):
-        erfc = _erfc(x[:2], scaled[:2])
         # e^{s^2 sigma^2 / 2 + s w} erfc(z / sqrt 2) / 2 is emg for z >= 0; for
         # z < 0 it is the exponential minus emg, since erfc(-a) = 2 - erfc(a)
-        emg = 0.5 * scaled[2:] * np.exp(-0.5 * (w / sigma) ** 2)
+        emg = 0.5 * scaled * np.exp(-0.5 * (w / sigma) ** 2)
         tails = np.where(z >= 0.0, emg,
                          np.exp(np.minimum(0.5 * (b * sigma) ** 2 - b * w, 0.0)) - emg)
-    band = 0.5 * (erfc[0] - erfc[1])
-    return (band + (tails[0] + tails[1])) / _normalizer(s, eps)
+    return tails[0] + tails[1]
 
 
 def _tail_sums(dens: np.ndarray, rate) -> np.ndarray:
@@ -335,7 +334,9 @@ def conv_pdf(source: Source, s, loss: EpsilonLoss, y) -> np.ndarray:
     if isinstance(source, Laplacian):
         return laplacian_conv_pdf(y, s, source.alpha, loss)
     if isinstance(source, Gaussian):
-        return _gaussian_conv_pdf(y, _check_slopes(s), source.sigma, loss)
+        s, ay, eps = _check_slopes(s), np.abs(y), loss.epsilon
+        band = _gaussian_band(ay, source.sigma, eps)
+        return (band + _gaussian_tails(ay, np.abs(s), source.sigma, eps)) / _normalizer(s, eps)
     if isinstance(source, Tabulated):
         b, geometry = -_check_slope(s), _TabulatedGeometry(source, loss)
         c = _normalizer(b, loss.epsilon)
@@ -358,26 +359,37 @@ def _exp_tail_entropy(r0, b):
 def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
     """Differential entropy of (tilted kernel * source) at each slope, by panel quadrature.
 
-    A Laplacian or Gaussian batch takes its panels from one panel_edges call and
-    its density in chunks of whole slopes of at most NODE_BUDGET nodes (a slope
-    with more is a chunk of its own); a tabulated batch shares one
-    _TabulatedGeometry.  Each slope's sum is its own np.dot in panel order, so
-    its value is the same in any batch.  Other source types raise TypeError.
+    Batches are laid out and chunked as the module says (a Laplacian slope over
+    NODE_BUDGET nodes is a chunk of its own).  Each slope's sum is its own np.dot
+    in panel order, so its value is the same in any batch.  Other source types
+    raise TypeError.
     """
     s = _check_slopes(slopes).reshape(-1)
     if isinstance(source, Tabulated):
         return _tabulated_entropies(source, s, loss)
-    if isinstance(source, Laplacian):
-        smooth, n = 15.0 / source.alpha, LAPLACIAN_NODES
-    elif isinstance(source, Gaussian):
-        smooth, n = source.sigma, GAUSSIAN_NODES
-    else:
+    if not isinstance(source, (Laplacian, Gaussian)):
         raise _unsupported(source)
-    # r is even, so integrate over the half line and double
-    span = source.tail_span(1e-16)
-    panels, chain = _entropy_edges(s, loss, span, smooth)
+    # r is even, so integrate over the half line and double.  Past far = eps +
+    # span r is the source's mass spread by the kernel's tail, one exponential
+    # of rate |s|, whose entropy is closed form
+    eps, span, out = loss.epsilon, source.tail_span(1e-16), np.empty(s.size)
+    if isinstance(source, Gaussian):
+        # r is analytic on the scale sigma at every slope: one slope-free layout,
+        # [0, eps - span] as one panel (r is flat there), then at most 4 sigma
+        sigma, b, c = source.sigma, -s, _normalizer(s, eps)
+        edges = panel_edges([0.0, max(eps - span, 0.0), eps + span],
+                            [np.inf, max(4.0 * sigma, 2.0 * np.spacing(eps))])
+        yn, wq = panel_nodes(edges, GAUSSIAN_NODES)
+        yn = np.append(yn, eps + span)  # the last point gives the outer tail's r0
+        band, step = _gaussian_band(yn, sigma, eps), max(NODE_BUDGET // (2 * yn.size), 1)
+        for lo in range(0, s.size, step):  # two erfcx arguments per slope and point
+            k = slice(lo, lo + step)
+            r = (band + _gaussian_tails(yn, b[k, None], sigma, eps)) / c[k, None]
+            out[k] = [2.0 * float(np.dot(wq, f)) for f in _neg_r_log_r(r[:, :-1])]
+            out[k] += 2.0 * _exp_tail_entropy(r[:, -1], b[k])
+        return out
+    n, (panels, chain) = LAPLACIAN_NODES, _entropy_edges(s, loss, span, source.alpha)
     starts = np.searchsorted(chain, np.arange(s.size + 1)).tolist()
-    out = np.empty(s.size)
     first = 0
     while first < s.size:
         last = first + 1
@@ -390,6 +402,4 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
             a, b = (starts[k] - lo) * n, (starts[k + 1] - lo) * n
             out[k] = 2.0 * float(np.dot(wq[a:b], f[a:b]))
         first = last
-    # past far = eps + span r is the source's mass spread by the kernel's tail,
-    # one exponential of rate |s|, whose entropy is closed form
-    return out + 2.0 * _exp_tail_entropy(conv_pdf(source, s, loss, loss.epsilon + span), -s)
+    return out + 2.0 * _exp_tail_entropy(conv_pdf(source, s, loss, eps + span), -s)

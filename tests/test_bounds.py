@@ -513,6 +513,18 @@ class TestConvolutionUpperBound:
         assert convolution_upper_bound(GAU, s, EpsilonLoss(0.1)).raw_rate == pytest.approx(
             want, abs=1e-11)
 
+    @pytest.mark.parametrize("sigma2", [0.3, 4.0])
+    @pytest.mark.parametrize("band", [0.0, 3.0])
+    @pytest.mark.parametrize("b_sigma", [50.0, 200.0])
+    def test_gaussian_steep_slopes_match_nested_quadrature(self, sigma2, band, b_sigma):
+        # the kernel is far narrower than the source: r has no panel break at
+        # eps and is taken on panels of up to 4 sigma, its scale at every slope
+        src = Gaussian(sigma2)
+        s, eps = -b_sigma / src.sigma, band * src.sigma
+        want = oracles.ru_quad(src.pdf, s, eps, support=9.5 * src.sigma)
+        assert convolution_upper_bound(src, s, EpsilonLoss(eps)).raw_rate == pytest.approx(
+            want, abs=1e-11)
+
     @staticmethod
     def panels_bounded_then_small_allocation(monkeypatch, source, eps, slopes, max_panels):
         # the panel count is read off the breaks before any edge array exists,
@@ -553,18 +565,19 @@ class TestConvolutionUpperBound:
             monkeypatch, LAP, eps, (-0.5, -1e-2, -1e-6, -1e-300), 20)
 
     @pytest.mark.parametrize("src,bands,max_panels", [
-        (LAP, (0.0, 0.1, 1.0, 3.0 / ALPHA), 7), (GAU, (0.0, 0.1, 1.0, 3.0), 11),
+        (LAP, (0.0, 0.1, 1.0, 3.0 / ALPHA), 7), (GAU, (0.0, 0.1, 1.0, 3.0), 3),
         (LAP, (10.0, 100.0, 1e6, 1e12, 1e17, 1e300), 9),
-        (GAU, (10.0, 100.0, 1e6, 1e12, 1e17, 1e300), 15),
+        (GAU, (10.0, 100.0, 1e6, 1e12, 1e17, 1e300), 6),
     ], ids=["laplacian", "gaussian", "laplacian-wide", "gaussian-wide"])
     def test_smooth_panels_have_width_at_every_slope(self, monkeypatch, src, bands, max_panels):
         # past |s| ~ 1e15 the reach 45/|s| is under an ulp of eps, and eps -+ it
-        # round to neighbours of eps: such a one-ulp segment is one panel, not
-        # several whose edges round to the same value.  Both sources have unit
-        # variance; on [0, eps - span] r is flat and takes one panel, so the
-        # count stays bounded as eps grows (a Gaussian slope took 500 006 panels
-        # at eps = 1e6), and where sigma is under an ulp of eps (1e17) no
-        # source-scale panel has zero width either
+        # round to neighbours of eps: such a one-ulp segment is one Laplacian
+        # panel, not several whose edges round to the same value.  A Gaussian
+        # batch lays one slope-free edge array, counted here as every slope's.
+        # Both sources have unit variance; on [0, eps - span] r is flat and
+        # takes one panel, so the count stays bounded as eps grows (a Gaussian
+        # slope took 500 006 panels at eps = 1e6), and where sigma is under an
+        # ulp of eps (1e17) no source-scale panel has zero width either
         slopes = -np.geomspace(1e-300, 1e300, 6001)
         layouts = []
 
@@ -577,7 +590,12 @@ class TestConvolutionUpperBound:
         monkeypatch.setattr(convolution, "conv_pdf", lambda *args: np.ones(np.shape(args[-1])))
         for eps in bands:
             convolution.conv_entropies(src, slopes, EpsilonLoss(eps))
-            panels, chain = layouts.pop()
+            if src is GAU:
+                edges = layouts.pop()
+                panels, chain = np.stack([edges[:-1], edges[1:]]), np.zeros(edges.size - 1, int)
+            else:
+                panels, chain = layouts.pop()
+            assert not layouts and panels.size > 0
             assert np.all(panels[1] > panels[0])
             assert np.bincount(chain, minlength=slopes.size).max() <= max_panels
 
@@ -648,7 +666,8 @@ class TestBatchedUpperBound:
     @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
     def test_slope_value_independent_of_chunk(self, monkeypatch, src):
         # one slope at every position among the rest: before and after each
-        # boundary of chunks that never pass the node budget
+        # boundary of chunks that never pass the node budget (for a Gaussian,
+        # the tails' erfcx arguments: two per slope and point)
         loss = EpsilonLoss(0.1)
         alone = self.alone(src, loss)
         chunks = []
@@ -657,8 +676,15 @@ class TestBatchedUpperBound:
             chunks.append(np.size(y))
             return real_pdf(source, s, loss, y)
 
-        real_pdf = convolution.conv_pdf
-        monkeypatch.setattr(convolution, "conv_pdf", counting_pdf)
+        def counting_tails(ay, b, *rest):
+            chunks.append(2 * np.broadcast(ay, b).size)
+            return real_tails(ay, b, *rest)
+
+        real_pdf, real_tails = convolution.conv_pdf, convolution._gaussian_tails
+        if src is GAU:
+            monkeypatch.setattr(convolution, "_gaussian_tails", counting_tails)
+        else:
+            monkeypatch.setattr(convolution, "conv_pdf", counting_pdf)
         shuffled = list(np.random.default_rng(6).permutation(self.SLOPES))
         for target in shuffled[:2]:
             rest = [s for s in shuffled if s != target]
@@ -706,6 +732,22 @@ class TestBatchedUpperBound:
             tracemalloc.stop()
         assert len(points) == 2000
         assert peak < 64 * 8 * convolution.NODE_BUDGET + 1024 * len(slopes)
+
+    def test_long_gaussian_batch_stays_under_the_mmap_threshold(self, monkeypatch):
+        # erfcx holds five doubles per argument at once (its powers); no call
+        # may reach glibc's 128 KiB mmap threshold, or every chunk of a sweep
+        # maps fresh pages and faults them in
+        sizes = []
+
+        def recording_erfcx(z):
+            sizes.append(np.size(z))
+            return real_erfcx(z)
+
+        real_erfcx = convolution._erfcx
+        monkeypatch.setattr(convolution, "_erfcx", recording_erfcx)
+        slopes = list(-np.geomspace(1e-4, 1e5, 2000))
+        assert len(convolution_upper_bounds(GAU, slopes, EpsilonLoss(0.1))) == 2000
+        assert len(sizes) > 1 and 5 * 8 * max(sizes) <= 128 * 1024
 
 
 class TestGaussianEntropyBound:

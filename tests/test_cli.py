@@ -555,13 +555,13 @@ class TestBatchedColumn:
     def test_non_finite_slope_noted_on_its_own_row(self, capsys, monkeypatch, threads):
         clean = self.rows(capsys)
         bad = -float(np.geomspace(0.5, 50, 7)[3])
-        real_pdf = convolution.conv_pdf
+        real_tails = convolution._gaussian_tails
 
-        def pdf(source, s, loss, y):
-            out = real_pdf(source, s, loss, y)
-            return np.where(np.broadcast_to(s, np.shape(out)) == bad, np.inf, out)
+        def tails(ay, b, *rest):  # |s| = b: the Gaussian density's per-slope term
+            out = real_tails(ay, b, *rest)
+            return np.where(np.broadcast_to(b, np.shape(out)) == -bad, np.inf, out)
 
-        monkeypatch.setattr(convolution, "conv_pdf", pdf)
+        monkeypatch.setattr(convolution, "_gaussian_tails", tails)
         rows = self.rows(capsys, "--threads", threads)
         for row, want in zip(rows, clean):
             if float(row[0]) == float(f"{bad:.12g}"):

@@ -103,9 +103,9 @@ class TestPanelEdges:
         # then the four segments around eps
         loss = EpsilonLoss(eps)
         for s in (-1e-3, -0.5, -1.41421356237, -5.0, -50.0, -200.0, -1e4):
-            for span, smooth in ((0.05, 1.0), (0.01, 0.1), (12.0, 1.0), (60.0, 10.6)):
+            for span, alpha in ((0.05, 15.0), (0.01, 150.0), (12.0, 15.0), (60.0, 1.415)):
                 upper, flat = eps + span, max(eps - span, 0.0)
-                coarse = 2.0 * smooth
+                coarse = 30.0 / alpha
                 fine = min(30.0 / abs(s), coarse)
                 bounds = [0.0, flat, max(eps - _kernel_reach(s), flat), eps,
                           min(eps + _kernel_reach(s), upper), upper]
@@ -113,7 +113,7 @@ class TestPanelEdges:
                 parts += [reference_panel_edges(bounds[i:i + 2], length)[1:]
                           for i, length in ((1, coarse), (2, fine), (3, fine), (4, coarse))]
                 want = np.concatenate(parts)
-                np.testing.assert_array_equal(_entropy_edges(s, loss, span, smooth), want)
+                np.testing.assert_array_equal(_entropy_edges(s, loss, span, alpha), want)
 
 
 class TestGaussLegendre:
