@@ -16,9 +16,10 @@ r0 (1 - log r0)/|s| past far, where r = r0 e^{-|s| t}.  A Gaussian r is analytic
 on the scale sigma at every slope: a batch shares one layout, GAUSSIAN_NODES = 20
 nodes on panels of at most 4 sigma, takes its band term once and only the two
 tails per slope.  A Laplacian slope lays its own panels, LAPLACIAN_NODES = 40
-nodes each and at most 30/|s| near eps.  Nodes go in chunks of whole slopes of
-at most NODE_BUDGET (erfcx arguments for a Gaussian), so that no temporary array
-reaches glibc's 128 KiB mmap threshold.
+nodes each; only past eps, where the kernel's e^{-|s| t} layer is, are they at
+most 30/|s|.  Nodes go in chunks of whole slopes of at most NODE_BUDGET (erfcx
+arguments for a Gaussian), so that no temporary array reaches glibc's 128 KiB
+mmap threshold.
 A tabulated batch shares one slope-free geometry: 8-node panels between the
 breaks (cell edge) +- eps.  Each slope is summed by its own np.dot in panel
 order, so its value does not depend on the batch or the chunk it falls in.
@@ -56,19 +57,20 @@ def _entropy_edges(s, loss: EpsilonLoss, span: float, alpha: float):
     """Laplacian panels on [0, eps + span] for -r log r, span the 1e-16 tail span.
 
     On [0, eps - span] the band holds all but 1e-16 of the mass, so r is flat:
-    one panel.  Then panels of at most 30/alpha, at most 30/|s| near eps, and
-    none under two ulps of eps, so a segment under an ulp (a reach 45/|s|, or
-    the source's scale) is one panel, not several of zero width.  One slope
-    gives panel_edges' edge array; an array of them its (panels, chain).
+    one panel.  On the rest of the band r is analytic on the scale 1/alpha at
+    every slope: panels of at most 30/alpha.  Past eps, panels of at most 30/|s|
+    out to the reach 45/|s| take the kernel's e^{-|s| t} layer, then 30/alpha
+    again; none is under two ulps of eps, so a segment under an ulp (a reach
+    45/|s|, or the source's scale) is one panel, not several of zero width.
+    Gives panel_edges' (panels, row), one row per slope.
     """
     eps, ulps = loss.epsilon, 2.0 * np.spacing(loss.epsilon)
     far, flat, coarse = eps + span, max(eps - span, 0.0), max(30.0 / alpha, ulps)
     with np.errstate(over="ignore"):  # inf below |s| ~ 2.5e-307, capped by the minima
         reach, decay = _kernel_reach(s), 30.0 / np.abs(s)
     fine = np.maximum(np.minimum(decay, coarse), ulps)
-    breaks = np.broadcast_arrays(0.0, flat, np.maximum(eps - reach, flat), eps,
-                                 np.minimum(eps + reach, far), far)
-    lengths = np.broadcast_arrays(np.inf, coarse, fine, fine, coarse)
+    breaks = np.broadcast_arrays(0.0, flat, eps, np.minimum(eps + reach, far), far)
+    lengths = np.broadcast_arrays(np.inf, coarse, fine, coarse)
     return panel_edges(np.stack(breaks, axis=-1), np.stack(lengths, axis=-1))
 
 
@@ -377,9 +379,9 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
         # r is analytic on the scale sigma at every slope: one slope-free layout,
         # [0, eps - span] as one panel (r is flat there), then at most 4 sigma
         sigma, b, c = source.sigma, -s, _normalizer(s, eps)
-        edges = panel_edges([0.0, max(eps - span, 0.0), eps + span],
-                            [np.inf, max(4.0 * sigma, 2.0 * np.spacing(eps))])
-        yn, wq = panel_nodes(edges, GAUSSIAN_NODES)
+        panels, _ = panel_edges([0.0, max(eps - span, 0.0), eps + span],
+                                [np.inf, max(4.0 * sigma, 2.0 * np.spacing(eps))])
+        yn, wq = panel_nodes(panels, GAUSSIAN_NODES)
         yn = np.append(yn, eps + span)  # the last point gives the outer tail's r0
         band, step = _gaussian_band(yn, sigma, eps), max(NODE_BUDGET // (2 * yn.size), 1)
         for lo in range(0, s.size, step):  # two erfcx arguments per slope and point

@@ -2,8 +2,9 @@
 
 Panels are placed by the caller so that integrand kinks land on edges and
 no panel is longer than the fastest decay/oscillation scale; Gauss-Legendre
-is then spectrally accurate on each panel.  ``panel_edges`` lays out one
-chain of breakpoints, or one chain per row in a single call.
+is then spectrally accurate on each panel.  ``panel_edges`` lays out the
+panels of one chain of breakpoints per row, all rows in a single call, and
+``panel_nodes`` puts the nodes on them.
 """
 
 from __future__ import annotations
@@ -45,60 +46,48 @@ def gauss_legendre(n: int):
 
 
 def panel_edges(breaks, max_len):
-    """Panels through every breakpoint, none longer than max_len.
+    """Panels through every breakpoint of each chain, none longer than max_len.
 
-    Each increasing pair (a, b) of consecutive breakpoints is cut into
-    k = ceil((b - a) / max_len) equal panels whose edges are the points
-    np.linspace(a, b, k + 1) would give, bit for bit.  Non-increasing pairs
-    are skipped, so degenerate segments (e.g. an insensitivity band of width
-    zero) collapse silently.  A NaN or infinite break raises ValueError, and
-    so does a panel count not below 2^53.
+    ``breaks`` is one chain per row (a 1-D chain is one row), and max_len
+    broadcasts against its pairs.  Each increasing pair (a, b) of consecutive
+    breakpoints is cut into k = ceil((b - a) / max_len) equal panels whose edges
+    are the points np.linspace(a, b, k + 1) would give, bit for bit.
+    Non-increasing pairs are skipped, so degenerate segments (e.g. an
+    insensitivity band of width zero) collapse silently.  A NaN or infinite
+    break raises ValueError.
 
-    ``breaks`` is one chain, and max_len one length or one per pair: the
-    result is the edge array.  Or ``breaks`` is 2-D, one chain per row, and
-    max_len broadcasts against its pairs: the result is ``(panels, chain)``,
-    a (2, P) array of each panel's lower and upper edge, row by row, and the
-    row of each panel.  For a non-decreasing row they are the panels of its
-    edge array.
+    The result is ``(panels, row)``: a (2, P) array of each panel's lower and
+    upper edge, row by row, and the row of each panel.
     """
-    breaks = np.asarray(breaks, dtype=float)
+    breaks = np.atleast_2d(np.asarray(breaks, dtype=float))
     # a NaN would fail the b > a test below and drop its pairs unnoticed
     if not np.isfinite(breaks).all():
         raise ValueError("panel breaks must be finite")
-    a, b = breaks[..., :-1], breaks[..., 1:]
+    a, b = breaks[:, :-1], breaks[:, 1:]
     keep = b > a
     max_len = np.broadcast_to(np.asarray(max_len, dtype=float), a.shape)[keep]
-    rows = np.broadcast_to(np.arange(breaks.shape[0])[:, None], a.shape)[keep] \
-        if breaks.ndim == 2 else None
+    rows = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
-    counts = np.maximum(np.ceil((b - a) / max_len), 1.0)
-    total = counts.sum()
-    # a float count from 2^53 on (or NaN) is no exact integer, and far past memory
-    if not total < 2**53:
-        raise ValueError(f"panel count {total:.3g} is not below 2^53")
-    counts = counts.astype(np.int64)
+    counts = np.maximum(np.ceil((b - a) / max_len), 1.0).astype(np.int64)
     ends = np.cumsum(counts)
     pair = np.repeat(np.arange(a.size), counts)
-    j = np.arange(1, int(total) + 1) - np.repeat(ends - counts, counts)
+    j = np.arange(1, int(counts.sum()) + 1) - np.repeat(ends - counts, counts)
     # np.linspace's arithmetic: j * ((b - a) / k) + a, with the last point set to b
     step, start = ((b - a) / counts)[pair], a[pair]
     points = j * step + start
     points[ends - 1] = b
-    if rows is None:
-        return np.concatenate([breaks[:1], points])
     # a panel's lower edge is the point before it, (j - 1) * step + a, which
     # is exactly a for the first panel of each pair
     return np.stack([(j - 1) * step + start, points]), rows[pair]
 
 
-def panel_nodes(edges, n: int = 64):
+def panel_nodes(panels, n: int = 64):
     """Flattened Gauss-Legendre nodes and weights over all panels.
 
-    ``edges`` is an edge array, or a (2, P) array of panel lower and upper
-    edges as 2-D ``panel_edges`` gives.
+    ``panels`` is a (2, P) array of panel lower and upper edges, as
+    ``panel_edges`` gives.
     """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = (edges[:-1], edges[1:]) if edges.ndim == 1 else edges
+    lo, hi = np.asarray(panels, dtype=float)
     x, w = gauss_legendre(n)
     # halves first: rounds as 0.5 (hi + lo) does for normal edges, and stays
     # finite for edges past half the float range, where hi + lo overflows
@@ -107,8 +96,3 @@ def panel_nodes(edges, n: int = 64):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def integrate(f, edges, n: int = 64) -> float:
-    nodes, weights = panel_nodes(edges, n)
-    return float(np.dot(weights, f(nodes)))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rdbounds
-from rdbounds import bounds, cli, convolution
+from rdbounds import bounds, cli, convolution, quadrature
 from rdbounds.cli import COLUMNS, build_parser, main
 from rdbounds.sources import Gaussian, Laplacian
 from rdbounds.tilted import EpsilonLoss, distortion_of_slope
@@ -91,6 +91,17 @@ class TestBoundsSweep:
                   for n in ("1", "4")]
         assert single[0] == single[1] and single[0][0] == 0
         assert len(parse_csv(single[0][1])[1]) == 1
+        # the README Laplacian figure sweep, and the benchmark's Gaussian sweep,
+        # whose R_U batch shares one slope-free layout and takes its tails in
+        # chunks: one worker maps on the calling thread and two run through the
+        # pool, and both print the same bytes
+        for sweep in (["--source", "laplacian", "--alpha", "1.41421356237", "--epsilon", "0.1",
+                       "--grid-var", "d", "--grid-min", "0.005", "--grid-max", "0.6",
+                       "--grid-count", "60", "--bounds", "slb,ru,rau,rge,trivial"],
+                      ["--source", "gaussian", "--epsilon", "0.1", "--grid-min", "0.5",
+                       "--grid-max", "200", "--grid-count", "60", "--bounds", "slb,ru,rge"]):
+            runs = [run_cli(capsys, "bounds", *sweep, "--threads", n) for n in ("1", "2")]
+            assert runs[0][0] == 0 and runs[0][1].count("\n") == 61 and runs[1] == runs[0]
 
     def test_workers_capped_at_cpu_count(self, capsys, monkeypatch):
         # a pool that records its size and maps serially starts no thread
@@ -180,6 +191,14 @@ class TestBoundsSweep:
         assert float(row[2]) == 0.0
         assert "slb_clamped:" in row[-1]
         assert float(row[-1].split("slb_clamped:")[1].split(";")[0]) < 0.0
+        # the SLB stays finite where 2 eps + D overflows (D = 1e308): a clamped
+        # cell, not an error note
+        _, out, _ = run_cli(
+            capsys, "bounds", "--epsilon", "0.1", "--grid-min", "1e-308", "--grid-max", "1e-308",
+            "--grid-count", "1", "--bounds", "slb",
+        )
+        (row,) = parse_csv(out)[1]
+        assert row[2] == "0" and row[-1].startswith("slb_clamped:") and "slb_error" not in row[-1]
 
     def test_flags_cell_holding_a_comma_is_quoted(self, capsys, monkeypatch):
         # a note carries raw exception text, which may hold a comma
@@ -522,21 +541,25 @@ class TestConfigHandling:
                 column = header[2 + ["slb", "ru", "rau", "rge", "trivial"].index(bound)]
                 assert cells[column] != "" or f"{bound}_error:" in cells["flags"]
 
-    @pytest.mark.parametrize("argv, column", [
+    @pytest.mark.parametrize("argv, column, value", [
         (["bounds", "--epsilon", "1e103", "--grid-min", "1", "--grid-max", "1", "--grid-count",
-          "1", "--bounds", "slb,rge"], "R_ge"),
+          "1", "--bounds", "slb,rge"], "R_ge", "0.1764"),
         (["bounds", "--source", "gaussian", "--epsilon", "1e6", "--grid-count", "3",
-          "--bounds", "ru"], "R_u"),
-    ], ids=["rge", "gaussian-ru"])
-    def test_huge_band_rows_take_a_value(self, capsys, argv, column):
+          "--bounds", "ru"], "R_u", ""),
+        (["bounds", "--epsilon", "0.1", "--grid-min", "1e-200", "--grid-max", "1e-200",
+          "--grid-count", "1", "--bounds", "rge"], "R_ge", "0.07236"),
+    ], ids=["rge", "gaussian-ru", "rge-tiny-slope"])
+    def test_huge_band_rows_take_a_value(self, capsys, argv, column, value):
         # the kernel variance's eps^3 overflowed at eps = 1e103, and a Gaussian
-        # slope at eps = 1e6 laid out 500 006 panels
+        # slope at eps = 1e6 laid out 500 006 panels; at |s| = 1e-200 the
+        # variance's 2/s^2 is past the float range, and R_GE still has its value
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         header, rows = parse_csv(out)
         for row in rows:
             cells = dict(zip(header, row))
             assert float(cells[column]) >= 0.0 and "_error:" not in cells["flags"]
+            assert cells[column].startswith(value)
 
 
 class TestBatchedColumn:
@@ -618,6 +641,12 @@ class TestBatchedColumn:
         # steepest row
         path = tmp_path / "tab3.csv"
         path.write_text("x,mass\n-1.0,0.25\n0.0,0.5\n1.0,0.25\n")
+        # under the real limit, |s| = 1e9 needs 1.3e10 nodes and |s| = 0.5 few
+        rows = self.rows(capsys, "--source", f"csv:{path}", "--grid-min", "0.5", "--grid-max",
+                         "1e9", "--grid-count", "2", "--bounds", "ru")
+        assert rows[0][0] == "-1000000000" and rows[0][3] == ""
+        assert rows[0][-1].startswith("ru_error:tabulated R_U at |s| = 1e+09 needs 1.3e+10")
+        assert rows[1][0] == "-0.5" and float(rows[1][3]) > 0.0 and rows[1][-1] == ""
         args = ["--source", f"csv:{path}", "--grid-max", "200", "--grid-count", "4"]
         clean = self.rows(capsys, *args)
         monkeypatch.setattr(convolution, "TABULATED_NODE_LIMIT", 1000)
@@ -806,17 +835,27 @@ class TestVerify:
         assert by_name["ba_grid_convergence"]["not_converged"] == [-5.0, -5.0]
         assert "not_converged" not in by_name["dominance_ru_rge"]
 
-    def test_band_too_wide_for_cf_panels_fails_that_check(self, capsys):
-        # the cf quadrature's 5e102 panels were cast to a negative int64, and
-        # verify ended in a traceback; now the count is that check's error
+    @pytest.mark.parametrize("eps", ["0.1", "1e6", "1e15", "1e103", "1e300"])
+    def test_cf_check_passes_on_bounded_panels_at_any_band(self, capsys, monkeypatch, eps):
+        # the band's share of the CF is closed form and only the tail takes
+        # panels, at most 215 per (s, omega).  A direct transform over the band
+        # asked for 3.1e8 nodes in one call at eps = 1e6, and at eps = 1e103
+        # for 5e102 panels, which failed the check instead of giving a verdict
+        real_nodes, calls = quadrature.panel_nodes, []
+
+        def nodes(panels, n=64):
+            calls.append(np.shape(panels)[-1] * n)
+            assert calls[-1] <= 215 * 64
+            return real_nodes(panels, n)
+
+        monkeypatch.setattr(quadrature, "panel_nodes", nodes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "verify", "--epsilon", "1e103", "--ba-n", "3",
-                                     "--ba-max-iter", "10")
-        assert code == 1 and err == ""
-        line = next(line for line in out.splitlines() if "cf_consistency" in line)
-        assert line.startswith("FAIL cf_consistency")
-        assert "panel count 5e+102 is not below 2^53" in line
+            code, out, err = run_cli(capsys, "verify", "--epsilon", eps, "--ba-n", "3",
+                                     "--ba-max-iter", "10", "--format", "json")
+        assert code == 1 and err == ""  # n = 3 has no coarser grid to compare with
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["cf_consistency"]
+        assert check["passed"] and check["max_abs_diff"] <= 1e-7 and len(calls) == 12
 
     def test_grid_convergence_needs_a_coarser_grid(self, capsys):
         # at n = 3 the coarse grid rounds up to n = 3 itself: nothing to compare
