@@ -9,8 +9,8 @@ ba       Blahut-Arimoto sweep only: ``bounds --bounds ba``
 verify   cross-module consistency checks; exit 0 iff all pass
 
 ``_pairs`` turns grid values into (s, D) points and ``_sweep_rows`` computes
-every bound cell: per point, a row of raw (unclamped) rates, at most one note
-per bound and the BA point, with the R_U column in one batched call.
+every cell, BA's through the same catch as every bound's: per point, raw rates,
+one note per bound at most and the BA solve's result, R_U in one batched call.
 ``bounds``/``ba`` give it one share of the grid per ``--threads`` worker (a
 single worker runs on the calling thread, with no pool thread) and
 ``verify`` reads its checks off its rows.  ``_emit`` alone formats a cell and
@@ -242,10 +242,10 @@ def _fmt(value) -> str:
 
 def _sweep_rows(source, loss, selected, points, ba_n, args):
     """One row per (s, d) point: the raw rate of each column (None where not
-    computed), at most one note per bound and the BA point; failures note,
-    never abort.  R_U is one batch over the points; a slope whose layout fails
-    takes the batch down, and then each slope is taken alone, so that its
-    failure is noted on its own row."""
+    computed), at most one note per bound, the notes of its failed cells and
+    the BA solve's ``BAResult``; every cell, BA's too, takes one catch.  R_U is
+    one batch over the points; a slope whose layout fails takes the batch down,
+    and then each slope is taken alone, so its failure is noted on its own row."""
     try:
         ru = (bounds_mod.convolution_upper_bounds(source, [s for s, _ in points], loss)
               if "ru" in selected else None)
@@ -253,7 +253,7 @@ def _sweep_rows(source, loss, selected, points, ba_n, args):
         ru = None
     rows = []
     for i, (s, d) in enumerate(points):
-        row = {"s": s, "D": d, **dict.fromkeys(RATE_COLUMNS.values()), "notes": {}, "ba": None}
+        row = dict(s=s, D=d, **dict.fromkeys(RATE_COLUMNS.values()), notes={}, errors=[], ba=None)
         notes = row["notes"]
         cells = {
             "slb": lambda: bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss),
@@ -263,6 +263,8 @@ def _sweep_rows(source, loss, selected, points, ba_n, args):
                                                                       loss).raw_rate,
             "rge": lambda: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
             "trivial": lambda: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
+            "ba": lambda: ba_mod.ba_iterate(ba_mod.build_problem(source, loss, s, n=ba_n),
+                                            tol=args.ba_tol, max_iter=args.ba_max_iter),
         }
         for bound, compute in cells.items():
             if bound not in selected:
@@ -274,20 +276,18 @@ def _sweep_rows(source, loss, selected, points, ba_n, args):
             # extreme slope; that cell is noted, and the rest of the row stands
             try:
                 raw = compute()
+                if bound == "ba":  # the row keeps the solve; its rate is the cell
+                    row["ba"], raw = raw, raw.rate
+                failure = None if math.isfinite(raw) else "non-finite"
             except (ValueError, ArithmeticError) as exc:
-                notes[bound] = f"{bound}_error:{exc}"
+                failure = exc
+            if failure is not None:
+                notes[bound] = f"{bound}_error:{failure}"
+                row["errors"].append(notes[bound])
                 continue
-            if math.isfinite(raw):
-                row[RATE_COLUMNS[bound]] = raw
-            else:
-                notes[bound] = f"{bound}_error:non-finite"
-        if "ba" in selected:
-            pt = row["ba"] = ba_mod.ba_curve(source, loss, [s], n=ba_n, tol=args.ba_tol,
-                                             max_iter=args.ba_max_iter)[0]
-            if not math.isnan(pt.r):
-                row["R_ba"] = pt.r
-            if pt.flag:
-                notes["ba"] = pt.flag
+            row[RATE_COLUMNS[bound]] = raw
+            if bound == "ba" and not row["ba"].converged:
+                notes[bound] = "ba_not_converged"
         rows.append(row)
     return rows
 
@@ -410,12 +410,12 @@ def _verify_checks(source, loss, args) -> list[dict]:
     worst = max(abs(r["R_slb"] - (h_p - tilted_entropy(r["s"], loss))) for r in slb_rows)
     checks = [_limit_check("slb_two_route", "max_abs_diff", worst, 1e-12)]
 
-    # upper-bound dominance at matched slopes
+    # upper-bound dominance at matched slopes, over the rows holding both cells
     dominance = rows(("ru", "rau", "rge"), np.geomspace(0.5, 50.0, 12))
     for name, col in (("dominance_ru_rge", "R_ge"), ("dominance_ru_rau", "R_au")):
         if col == "R_ge" or isinstance(source, Laplacian):
-            worst = max((r["R_u"] - r[col] for r in dominance if r["R_u"] is not None),
-                        default=None)
+            worst = max((r["R_u"] - r[col] for r in dominance
+                         if r["R_u"] is not None and r[col] is not None), default=None)
             checks.append(_limit_check(name, "max_excess", worst, 1e-9, dominance))
 
     # kernel CF against a direct cosine transform of its density: the flat band's
@@ -449,20 +449,20 @@ def _verify_checks(source, loss, args) -> list[dict]:
     pair = rows(("ba",), (5.0,), n_coarse) + sandwich[1:2]
     coarse, fine = (r["ba"] for r in pair)
     drift = (None if any(r["R_ba"] is None for r in pair)
-             else max(abs(coarse.d - fine.d), abs(coarse.r - fine.r)))
+             else max(abs(coarse.distortion - fine.distortion), abs(coarse.rate - fine.rate)))
     same = [f"coarse grid n={n_coarse} is the --ba-n grid itself"] if n_coarse == args.ba_n else []
     checks.append(_limit_check("ba_grid_convergence", "max_change", drift, 5e-3, pair, same))
     return checks
 
 
 def _limit_check(name, key, value, tol, rows=(), errors=()) -> dict:
-    """A verify check that value <= tol.  An ``_error:`` note in any of its rows,
-    or a given error, fails it and is listed; unconverged BA rows list their s."""
-    errors = [note for r in rows for note in r["notes"].values() if "_error:" in note] + [*errors]
+    """A verify check that value <= tol.  A failed cell of any of its rows, or a
+    given error, fails it and is listed; unconverged BA solves list their s."""
+    errors = [note for r in rows for note in r["errors"]] + [*errors]
     check = {"name": name, key: value, "tol": tol, "passed": not errors and value <= tol}
     if errors:
         check["errors"] = errors
-    stalled = [r["s"] for r in rows if r["notes"].get("ba") == "ba_not_converged"]
+    stalled = [r["s"] for r in rows if r["ba"] is not None and not r["ba"].converged]
     if stalled:
         check["not_converged"] = stalled
     return check

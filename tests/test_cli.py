@@ -16,6 +16,7 @@ import pytest
 
 import rdbounds
 from rdbounds import bounds, cli, convolution, quadrature
+from rdbounds.ba import BAResult, ba_iterate, build_problem
 from rdbounds.cli import COLUMNS, build_parser, main
 from rdbounds.sources import Gaussian, Laplacian
 from rdbounds.tilted import EpsilonLoss, distortion_of_slope
@@ -271,15 +272,25 @@ class TestBoundsSweep:
 class TestEmitContract:
     """Every CSV cell and the whole flags string, rebuilt from direct library
     calls: max(raw, 0) as .12g (divided by ln 2 in bits), and one flag per
-    bound in column order, clamps carrying the raw nats value."""
+    bound in column order, clamps carrying the raw nats value, quoted when the
+    flags hold a comma.  The BA cell is a solve at ``ba_n`` points and at most
+    ``ba_max_iter`` updates: its rate, flagged when unconverged, or
+    ``ba_error:`` when a call raises."""
 
     @staticmethod
-    def expected_rows(source, loss, slopes, selected, scale):
+    def expected_rows(source, loss, slopes, selected, scale, ba_n=2001, ba_max_iter=200_000):
         h_p = source.differential_entropy()
         lap = isinstance(source, Laplacian)
         rows = []
         for s in slopes:
             d = distortion_of_slope(s, loss)
+            solve = None
+            if "ba" in selected:
+                try:
+                    solve = ba_iterate(build_problem(source, loss, s, n=ba_n), tol=1e-10,
+                                       max_iter=ba_max_iter)
+                except (ValueError, ArithmeticError) as exc:
+                    solve = f"ba_error:{exc}"
             raw = {
                 "slb": bounds.shannon_lower_bound(d, h_p, loss),
                 "ru": bounds.convolution_upper_bound(source, s, loss).raw_rate,
@@ -288,11 +299,16 @@ class TestEmitContract:
                 "rge": bounds.gaussian_entropy_bound(source, s, loss).raw_rate,
                 "trivial": (bounds.trivial_upper_bound_laplacian(d, source.alpha)
                             if lap else "trivial_unsupported"),
+                "ba": solve,
             }
             cells, flags = [f"{s:.12g}", f"{d:.12g}"], []
-            for name in ("slb", "ru", "rau", "rge", "trivial"):
+            for name in ("slb", "ru", "rau", "rge", "trivial", "ba"):
                 value = raw[name] if name in selected else None
-                if isinstance(value, str):
+                if isinstance(value, BAResult):
+                    cells.append(f"{max(value.rate, 0.0) / scale:.12g}")
+                    if not value.converged:
+                        flags.append("ba_not_converged")
+                elif isinstance(value, str):
                     cells.append("")
                     flags.append(value)
                 elif value is None:
@@ -301,7 +317,8 @@ class TestEmitContract:
                     cells.append(f"{max(value, 0.0) / scale:.12g}")
                     if value < 0.0:
                         flags.append(f"{name}_clamped:{value:.6g}")
-            rows.append((d, ",".join(cells + [""] + [";".join(flags)])))
+            flags = ";".join(flags)  # a note quoting an exception may hold a comma
+            rows.append((d, ",".join(cells + [f'"{flags}"' if "," in flags else flags])))
         return [line for _, line in sorted(rows)]
 
     @pytest.mark.parametrize("units", ["nats", "bits"])
@@ -335,6 +352,37 @@ class TestEmitContract:
         expected = self.expected_rows(Gaussian(1.0), loss, slopes,
                                       ("slb", "rau", "trivial"), scale)
         assert out.strip().split("\n")[1:] == expected
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_gaussian_ba_column(self, capsys, units):
+        # at 30 updates the solves at |s| <= 5 stop unconverged, the others converge
+        loss = EpsilonLoss(0.1)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--source", "gaussian", "--epsilon", "0.1",
+            "--grid-min", "2", "--grid-max", "20", "--grid-count", "5",
+            "--bounds", "slb,ba", "--ba-n", "101", "--ba-max-iter", "30", "--units", units,
+        )
+        assert code == 0
+        assert "ba_not_converged" in out
+        scale = math.log(2.0) if units == "bits" else 1.0
+        slopes = [-float(v) for v in np.geomspace(2, 20, 5)]
+        expected = self.expected_rows(Gaussian(1.0), loss, slopes, ("slb", "ba"), scale,
+                                      ba_n=101, ba_max_iter=30)
+        assert out.strip().split("\n")[1:] == expected
+
+    def test_failed_ba_cells(self, capsys):
+        loss = EpsilonLoss(0.1)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--source", "gaussian", "--epsilon", "0.1",
+            "--grid-min", "2", "--grid-max", "20", "--grid-count", "3",
+            "--bounds", "slb,ba", "--ba-n", "4",
+        )
+        assert code == 0
+        lines = out.strip().split("\n")[1:]
+        assert len(lines) == 3 and all(',"ba_error:' in line for line in lines)
+        slopes = [-float(v) for v in np.geomspace(2, 20, 3)]
+        assert lines == self.expected_rows(Gaussian(1.0), loss, slopes, ("slb", "ba"), 1.0,
+                                           ba_n=4)
 
 
 class TestFigureData:
@@ -857,6 +905,20 @@ class TestVerify:
         check = {c["name"]: c for c in json.loads(out)["checks"]}["cf_consistency"]
         assert check["passed"] and check["max_abs_diff"] <= 1e-7 and len(calls) == 12
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-155", "1e155", "1e300"])
+    def test_failed_bound_cells_fail_dominance(self, capsys, alpha):
+        # R_GE and R_AU fail at such a scale while R_U has a value: the rows
+        # whose cells failed fail both dominance checks instead of a traceback
+        code, out, err = run_cli(capsys, "verify", "--alpha", alpha, "--ba-n", "5",
+                                 "--ba-max-iter", "5", "--format", "json")
+        assert code == 1 and err == ""
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("dominance_ru_rge", "dominance_ru_rau"):
+            check = by_name[name]
+            assert not check["passed"] and check["max_excess"] is None
+            for prefix in ("rge_error:", "rau_error:"):
+                assert any(e.startswith(prefix) for e in check["errors"])
+
     def test_grid_convergence_needs_a_coarser_grid(self, capsys):
         # at n = 3 the coarse grid rounds up to n = 3 itself: nothing to compare
         code, out, _ = run_cli(
@@ -867,6 +929,25 @@ class TestVerify:
         check = {c["name"]: c for c in json.loads(out)["checks"]}["ba_grid_convergence"]
         assert not check["passed"]
         assert any("--ba-n" in e for e in check["errors"])
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("s, max_iter", [(-10.0, 1000), (-5.0, 30)])
+    def test_row_keeps_the_solve(self, s, max_iter):
+        # the row holds the solve itself, equal to a direct one at the same
+        # slope and n: converged at s = -10, stopped at the cap at s = -5
+        loss, args = EpsilonLoss(0.1), build_parser().parse_args(
+            ["bounds", "--ba-max-iter", str(max_iter)])
+        points = [(-20.0, distortion_of_slope(-20.0, loss)), (s, distortion_of_slope(s, loss))]
+        row = cli._sweep_rows(Gaussian(1.0), loss, ("slb", "ba"), points, 101, args)[1]
+        direct = ba_iterate(build_problem(Gaussian(1.0), loss, s, n=101), tol=1e-10,
+                            max_iter=max_iter)
+        assert isinstance(row["ba"], BAResult)
+        assert row["ba"].converged is direct.converged is (max_iter == 1000)
+        for field in ("rate", "distortion", "iterations", "gap", "certified_gap"):
+            assert getattr(row["ba"], field) == getattr(direct, field)
+        assert np.array_equal(row["ba"].q_mass, direct.q_mass)
+        assert row["R_ba"] == direct.rate and row["errors"] == []
 
 
 class TestReadme:
