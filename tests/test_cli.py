@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -961,3 +962,58 @@ class TestReadme:
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv[1:])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MIXTURE = f"csv:{GOLDEN / 'mixture401.csv'}"  # the benchmark's seed-1 mixture, 401 cells
+FIGURE = ["bounds", "--source", "laplacian", "--alpha", "1.41421356237", "--epsilon", "0.1",
+          "--grid-var", "d", "--grid-min", "0.005", "--grid-max", "0.6", "--grid-count", "60",
+          "--bounds", "slb,ru,rau,rge,trivial"]
+# golden file -> the argv whose stdout it holds; after an intended change,
+# rewrite a file with `python -m rdbounds.cli ARGV > tests/golden/NAME`
+GOLDEN_RUNS = {
+    "laplacian_figure.csv": FIGURE,
+    "laplacian_figure.json": [*FIGURE, "--format", "json"],
+    "dmax_gaussian.txt": ["dmax", "--source", "gaussian", "--sigma2", "1.0", "--epsilon", "0.1"],
+    "gaussian_sweep.csv": ["bounds", "--source", "gaussian", "--epsilon", "0.1", "--grid-min",
+                           "0.5", "--grid-max", "200", "--grid-count", "60",
+                           "--bounds", "slb,ru,rge"],
+    "tabulated_sweep.csv": ["bounds", "--source", MIXTURE, "--epsilon", "0.1", "--grid-min",
+                            "0.5", "--grid-max", "200", "--grid-count", "8",
+                            "--bounds", "slb,ru,rge"],
+    "dmax_tabulated.json": ["dmax", "--source", MIXTURE, "--epsilon", "0.1", "--format", "json"],
+}
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _last_digit_unit(token):
+    """One unit in a printed number's last digit.  ``%.12g`` drops trailing
+    zeros, so that digit is the 12th significant one, or a later one where the
+    number shows more (JSON's shortest round-trip form); a printed 0 has none."""
+    value = Decimal(token)
+    if not value:
+        return Decimal(0)
+    shown = len(value.as_tuple().digits)
+    return Decimal(1).scaleb(value.adjusted() - max(shown, 12) + 1)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_output_matches_golden_file(self, capsys, name):
+        # every byte but the digits of numbers must match; a number may move by
+        # one unit in its last printed digit, as numpy's SIMD exp and log may
+        # differ by an ulp between CPUs and between versions
+        code, out, err = run_cli(capsys, *GOLDEN_RUNS[name])
+        want = (GOLDEN / name).read_text(encoding="utf-8")
+        assert (code, err) == (0, "")
+        assert _NUMBER.split(out) == _NUMBER.split(want)
+        for got, pinned in zip(_NUMBER.findall(out), _NUMBER.findall(want)):
+            unit = max(_last_digit_unit(got), _last_digit_unit(pinned))
+            assert abs(Decimal(got) - Decimal(pinned)) <= unit, (got, pinned)
+
+    def test_tolerance_is_one_unit_in_the_last_digit(self):
+        assert _last_digit_unit("0.000657744074022") == Decimal("1e-15")
+        assert _last_digit_unit("-200") == Decimal("1e-9")
+        assert _last_digit_unit("0.9268141691156347") == Decimal("1e-16")
+        assert _last_digit_unit("2.5e-305") == Decimal("1e-316")
+        assert _last_digit_unit("0") == 0
