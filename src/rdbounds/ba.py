@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import RDPoint
 from .sources import Source, _check_grid
 from .tilted import EpsilonLoss, _check_slope
 
-__all__ = ["BAProblem", "BAResult", "auto_span", "build_problem", "ba_iterate", "ba_curve"]
+__all__ = ["BAProblem", "BAResult", "auto_span", "build_problem", "ba_iterate"]
 
 _TINY = 1e-300
 # a stall counts as converged once the smallest gap is this small (nats)
@@ -258,22 +257,3 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
                     objective_violations=violations, max_objective_rise=max_rise,
                     gap=best_gap, certified_gap=min(best_objective - lower, best_gap))
 
-
-def ba_curve(source: Source, loss: EpsilonLoss, s_list, n: int = 2001, tol: float = 1e-10,
-             max_iter: int = 200_000) -> list[RDPoint]:
-    """One solve per slope; points sorted by distortion, failures flagged per point."""
-    s_list = list(s_list)
-    if not s_list:
-        raise ValueError("s_list must be nonempty")
-    points = []
-    for s in s_list:
-        try:
-            problem = build_problem(source, loss, s, n=n)
-            result = ba_iterate(problem, tol=tol, max_iter=max_iter)
-        except (ValueError, ArithmeticError) as exc:
-            points.append(RDPoint(d=math.nan, r=math.nan, s=float(s), flag=f"ba_error:{exc}"))
-            continue
-        flag = "" if result.converged else "ba_not_converged"
-        points.append(RDPoint(d=result.distortion, r=result.rate, s=float(s), flag=flag))
-    points.sort(key=lambda pt: (math.isnan(pt.d), pt.d))
-    return points

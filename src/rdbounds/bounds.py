@@ -64,7 +64,6 @@ class RDPoint:
     r: float
     s: float | None = None
     raw_rate: float | None = None
-    flag: str = ""
 
     @property
     def clamped(self) -> bool:

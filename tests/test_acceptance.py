@@ -215,13 +215,13 @@ def test_criterion_9_ba_internal_checks():
     # finite-difference slope between well-separated points; all slopes must
     # sit on the strictly-curved branch (steeper than the zero-rate corner at
     # ~-1.43), where the tangent-slope interpretation applies
-    pts = rb.ba_curve(LAP, LOSS, [-2.0, -4.0, -8.0, -16.0], n=1001,
-                      tol=1e-10, max_iter=20_000)
-    pts.sort(key=lambda p: abs(p.s))
+    pts = [(s, rb.ba_iterate(rb.build_problem(LAP, LOSS, s, n=1001), tol=1e-10,
+                             max_iter=20_000))
+           for s in (-2.0, -4.0, -8.0, -16.0)]  # by rising |s|
     worst_slope = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        chord = (b.r - a.r) / (b.d - a.d)
-        s_mid = -math.sqrt(a.s * b.s)
+    for (sa, a), (sb, b) in zip(pts[:-1], pts[1:]):
+        chord = (b.rate - a.rate) / (b.distortion - a.distortion)
+        s_mid = -math.sqrt(sa * sb)
         worst_slope = max(worst_slope, abs(chord - s_mid) / abs(s_mid))
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and max_rise <= 1e-12 and drift < 5e-3 and worst_slope <= 0.10

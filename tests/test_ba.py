@@ -10,7 +10,6 @@ from rdbounds import (
     Laplacian,
     Tabulated,
     auto_span,
-    ba_curve,
     ba_iterate,
     build_problem,
 )
@@ -79,9 +78,8 @@ class TestBuildProblem:
                          loss=base.loss, s="-2")
         assert type(prob.s) is float and prob.s == -2.0
         assert type(solve(prob, max_iter=20).rate) is float
-        (pt,) = ba_curve(GAU, EpsilonLoss(0.1), np.array([-2.0]), n=101, max_iter=20)
-        assert pt.flag in ("", "ba_not_converged")
-        assert type(pt.r) is float and type(pt.d) is float
+        res = solve(build_problem(GAU, EpsilonLoss(0.1), np.float64(-2.0), n=101), max_iter=20)
+        assert type(res.rate) is float and type(res.distortion) is float
 
 
 def kernel_products(kernel, v):
@@ -247,24 +245,10 @@ class TestIterationDiagnostics:
 
 
 class TestCurve:
-    def test_singleton(self):
-        pts = ba_curve(GAU, EpsilonLoss(0.1), [-5.0], n=501, tol=1e-9, max_iter=5000)
-        assert len(pts) == 1
-        assert pts[0].s == -5.0
-
-    def test_sorted_and_monotone(self):
-        s_list = [-20.0, -1.0, -5.0, -2.0]
-        pts = ba_curve(LAP, EpsilonLoss(0.1), s_list, n=801, tol=1e-9, max_iter=10_000)
-        ds = [pt.d for pt in pts]
-        assert ds == sorted(ds)
+    def test_distortion_rises_as_slope_flattens(self):
+        loss = EpsilonLoss(0.1)
+        s_list = [-20.0, -5.0, -2.0, -1.0]
         # weaker slopes sit at larger distortion
-        assert [pt.s for pt in pts] == [-20.0, -5.0, -2.0, -1.0]
-
-    def test_per_point_failures_do_not_abort(self):
-        pts = ba_curve(GAU, EpsilonLoss(0.1), [-5.0, -math.inf], n=301, tol=1e-9,
-                       max_iter=3000)
-        flags = {pt.s: pt.flag for pt in pts}
-        assert flags[-5.0] == "" or flags[-5.0] == "ba_not_converged"
-        assert any(f.startswith("ba_error") for f in flags.values())
-        with pytest.raises(ValueError):
-            ba_curve(GAU, EpsilonLoss(0.1), [], n=301)
+        ds = [solve(build_problem(LAP, loss, s, n=801), tol=1e-9, max_iter=10_000).distortion
+              for s in s_list]
+        assert ds == sorted(ds) and len(set(ds)) == len(ds)

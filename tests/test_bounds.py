@@ -637,7 +637,7 @@ class TestConvolutionUpperBound:
         pts = [convolution_upper_bound(LAP, s, EpsilonLoss(0.1)) for s in MATCHED]
         rates = np.array([pt.raw_rate for pt in pts])
         assert np.all(np.isfinite(rates))
-        assert not any(pt.flag or pt.clamped for pt in pts)
+        assert not any(pt.clamped for pt in pts)
         assert np.max(np.abs(rates[1:] - rates[0])) <= 1e-8
 
 
@@ -874,7 +874,7 @@ class TestAnalyticUpperBound:
         pts = [analytic_upper_bound_laplacian(s, ALPHA, EpsilonLoss(0.1)) for s in MATCHED]
         rates = np.array([pt.raw_rate for pt in pts])
         assert np.all(np.isfinite(rates))
-        assert not any(pt.flag or pt.clamped for pt in pts)
+        assert not any(pt.clamped for pt in pts)
         assert np.max(np.abs(rates[1:] - rates[0])) <= 1e-8
 
 
