@@ -56,7 +56,6 @@ class ConfigError(Exception):
 
 
 def _add_common(parser):
-    parser.add_argument("--config", help="key=value file supplying defaults (flags win)")
     parser.add_argument("--source", default="laplacian",
                         help="laplacian | gaussian | csv:PATH (default laplacian)")
     parser.add_argument("--alpha", type=float, default=1.0,
@@ -120,61 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ba(p_verify)
     p_verify.set_defaults(handler=cmd_verify)
     return parser
-
-
-def _load_config(path, command, options) -> list[str]:
-    """Turn a key=value file into an argv fragment of ``command``'s flags.
-
-    A key is a long flag name without its dashes; ``options`` maps every
-    subcommand to its flags.  A key that only other subcommands take is
-    skipped, so that one file can serve them all; a key that none takes is an
-    error.
-    """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    argv = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            flag = f"--{key}"
-            if flag in options[command]:
-                argv.extend([flag, value])
-            elif not any(flag in flags for flags in options.values()):
-                raise ConfigError(f"{path}: line {lineno}: no subcommand takes {key!r}")
-    return argv
-
-
-def _splice_config(argv, parser) -> list[str]:
-    """argv with ``--config PATH`` (or ``--config=PATH``), before or after the
-    subcommand, replaced by the file's flags right after the subcommand.
-
-    The explicit flags then follow the file's and win, since argparse keeps
-    the last occurrence.
-    """
-    for at, token in enumerate(argv):
-        key, eq, path = token.partition("=")
-        if key == "--config":
-            break
-    else:
-        return argv
-    if not eq:
-        if at + 1 >= len(argv):
-            raise ConfigError("--config needs a path")
-        path = argv[at + 1]
-    rest = argv[:at] + argv[at + (1 if eq else 2):]
-    if any(token.partition("=")[0] == "--config" for token in rest):
-        raise ConfigError("--config may be given only once")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
-    at = next((i for i, token in enumerate(rest) if token in options), None)
-    if at is None:
-        return rest  # argparse reports the missing subcommand
-    return rest[:at + 1] + _load_config(path, rest[at], options) + rest[at + 1:]
 
 
 def _source_and_loss(args) -> tuple[Source, EpsilonLoss]:
@@ -483,10 +427,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_splice_config(argv, parser))
+        args = build_parser().parse_args(argv)  # None: sys.argv[1:]
         if args.threads < 0:
             raise ConfigError("threads must be >= 0 (0 means machine parallelism)")
         return args.handler(args)

@@ -143,12 +143,10 @@ class TestBoundsSweep:
         assert [run_cli(capsys, *argv) for argv in runs] == want
         assert all(code == 0 for code, _, _ in want)
 
-    def test_memoised_parser_keeps_no_state(self, capsys, tmp_path):
+    def test_memoised_parser_keeps_no_state(self, capsys):
         # one in-process call after another prints what a fresh process prints
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epsilon=0.3\ngrid-count=3\n", encoding="utf-8")
         parser = build_parser()
-        calls = [["bounds", "--config", str(cfg), "--bounds", "slb"], ["dmax"]]
+        calls = [["bounds", "--epsilon", "0.3", "--grid-count", "3", "--bounds", "slb"], ["dmax"]]
         got = [run_cli(capsys, *argv) for argv in calls]
         assert build_parser() is parser
         for argv, (code, out, err) in zip(calls, got):
@@ -156,7 +154,7 @@ class TestBoundsSweep:
                                    env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
                                    text=True, timeout=120, check=False)
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
-        assert "d_max_eps  = 1\n" in got[1][1]  # dmax ran at eps = 0, not the file's 0.3
+        assert "d_max_eps  = 1\n" in got[1][1]  # dmax ran at eps = 0, not the last call's 0.3
 
     def test_rau_on_gaussian_is_empty_with_flag(self, capsys):
         code, out, _ = run_cli(
@@ -426,19 +424,6 @@ class TestFigureData:
 
 
 class TestConfigHandling:
-    def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "source=laplacian\nalpha=1.0\nepsilon=0.1\n"
-            "grid-min=1\ngrid-max=8\ngrid-count=4\nbounds=slb\n"
-        )
-        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg))
-        assert code == 0
-        assert len(parse_csv(out)[1]) == 4
-        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg), "--grid-count", "2")
-        assert code == 0
-        assert len(parse_csv(out)[1]) == 2
-
     def test_unknown_source_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--source", "cauchy", "--bounds", "slb",
                                "--epsilon", "0.1")
@@ -471,65 +456,25 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "bounds", "--bounds", "", "--epsilon", "0.1")
         assert code == 2
 
-    def test_missing_config_file(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--config", "/nonexistent.cfg")
-        assert code == 2
-
-    def test_config_equals_form(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("epsilon=0.1\ngrid-min=1\ngrid-max=8\ngrid-count=4\nbounds=slb\n")
-        code, spaced, _ = run_cli(capsys, "bounds", "--config", str(cfg))
-        assert code == 0 and len(parse_csv(spaced)[1]) == 4
-        code, joined, _ = run_cli(capsys, "bounds", f"--config={cfg}")
-        assert code == 0 and joined == spaced
-        code, _, err = run_cli(capsys, "bounds", "--config=/nonexistent.cfg")
-        assert code == 2 and "not found" in err
-
-    def test_config_before_subcommand(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("epsilon=0.1\ngrid-min=1\ngrid-max=8\ngrid-count=4\nbounds=slb\n")
-        code, after, _ = run_cli(capsys, "bounds", "--config", str(cfg))
-        assert code == 0 and len(parse_csv(after)[1]) == 4
-        for lead in (["--config", str(cfg)], [f"--config={cfg}"]):
-            code, before, _ = run_cli(capsys, *lead, "bounds")
-            assert code == 0 and before == after
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "bounds", "--grid-count", "2")
-        assert code == 0 and len(parse_csv(out)[1]) == 2
-        code, _, err = run_cli(capsys, "--config", str(cfg), "bounds", "--config=/none.cfg")
-        assert code == 2 and "only once" in err
-
-    def test_one_file_serves_every_subcommand(self, capsys, tmp_path):
-        # grid-count and bounds are flags of bounds only; dmax and ba skip them
-        cfg = tmp_path / "shared.cfg"
-        cfg.write_text("epsilon=0.1\ngrid-min=1\ngrid-max=8\ngrid-count=2\nbounds=slb\n"
-                       "ba-n=5\nformat=json\n")
-        code, out, _ = run_cli(capsys, "dmax", "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["d_max_eps"] == Laplacian(1.0).d_max(EpsilonLoss(0.1))
-        code, out, _ = run_cli(capsys, "ba", "--config", str(cfg), "--format", "csv")
-        assert code == 0 and len(parse_csv(out)[1]) == 2
-
-    def test_units_only_on_table_commands(self, capsys, tmp_path):
+    def test_units_only_on_table_commands(self, capsys):
         for command in ("dmax", "verify"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--units", "bits"])
             assert exc.value.code == 2
         capsys.readouterr()
-        # a config file's units key is skipped where the flag does not act
-        cfg = tmp_path / "units.cfg"
-        cfg.write_text("units=bits\n")
-        assert run_cli(capsys, "dmax", "--config", str(cfg)) == run_cli(capsys, "dmax")
-        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg), "--format", "json",
+        code, out, _ = run_cli(capsys, "bounds", "--units", "bits", "--format", "json",
                                "--grid-count", "1", "--bounds", "slb")
         assert code == 0 and json.loads(out)["units"] == "bits"
 
-    def test_key_no_subcommand_takes_is_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text("epsilon=0.1\n\ngrid-cnt=2\n")
-        for command in ("bounds", "dmax"):
-            code, _, err = run_cli(capsys, command, "--config", str(cfg))
-            assert code == 2
-            assert f"{cfg}: line 3" in err and "grid-cnt" in err
+    def test_argv_is_the_only_input(self, capsys, tmp_path):
+        # no option reads flags from a file: --config is an unknown argument
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epsilon=0.1\n", encoding="utf-8")
+        for argv in (["bounds", "--config", str(cfg)], [f"--config={cfg}", "dmax"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_negative_threads_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, *BOUNDS_ARGS, "--threads", "-5")
