@@ -108,7 +108,10 @@ def laplacian_conv_pdf(y, s, alpha: float, loss: EpsilonLoss):
            + 2.0 * alpha * ratio * _exp_divided_difference(u, s, alpha))
     # inside the band 2 + c1 (E1 + E2) with c1 = ratio - 1, taken on its lanes only
     band = ay < eps
-    e1, e2 = -alpha * (ay[band] + eps), alpha * (ay[band] - eps)
+    # alpha (|y| -+ eps) overflows only to -inf, at a huge alpha eps, where
+    # exp and expm1 give the right limits 0 and -1
+    with np.errstate(over="ignore"):
+        e1, e2 = -alpha * (ay[band] + eps), alpha * (ay[band] - eps)
     out[band] = (np.broadcast_to(ratio, ay.shape)[band] * (np.exp(e1) + np.exp(e2))
                  - np.expm1(e1) - np.expm1(e2))
     out /= 2.0 * _normalizer(s, eps)
@@ -163,8 +166,10 @@ def _erfc(x, scaled):
 
 def _gaussian_band(ay, sigma: float, eps: float):
     """C(s) r's band term for N(0, sigma^2): P(|X - y| <= eps) at |y| = ay, slope-free."""
-    x = np.stack([ay - eps, ay + eps]) / (math.sqrt(2.0) * sigma)
-    with np.errstate(over="ignore"):  # x^2 -> inf past 1e154, where erfc is 0
+    # x -> -+inf at eps / sigma past 1e308, and x^2 -> inf past 1e154, where
+    # erfc is 2 or 0
+    with np.errstate(over="ignore"):
+        x = np.stack([ay - eps, ay + eps]) / (math.sqrt(2.0) * sigma)
         erfc = _erfc(x, _erfcx(np.abs(x)))
     return 0.5 * (erfc[0] - erfc[1])
 
@@ -180,11 +185,12 @@ def _gaussian_tails(ay, b, sigma: float, eps: float):
     """
     ay = np.broadcast_to(ay, np.broadcast_shapes(np.shape(ay), np.shape(b)))
     w = np.stack([ay - eps, -ay - eps])
-    z = (b * sigma * sigma - w) / sigma
-    scaled = _erfcx(np.abs(z / math.sqrt(2.0)))
-    # (|s| sigma)^2 overflows to inf past |s| sigma ~ 1e154, in the tail
-    # branch that np.where drops
+    # z -> -+inf at eps / sigma past 1e308, where erfcx is 0 and the terms
+    # below reach their limits; (|s| sigma)^2 overflows to inf past
+    # |s| sigma ~ 1e154, in the tail branch that np.where drops
     with np.errstate(over="ignore"):
+        z = (b * sigma * sigma - w) / sigma
+        scaled = _erfcx(np.abs(z / math.sqrt(2.0)))
         # e^{s^2 sigma^2 / 2 + s w} erfc(z / sqrt 2) / 2 is emg for z >= 0; for
         # z < 0 it is the exponential minus emg, since erfc(-a) = 2 - erfc(a)
         emg = 0.5 * scaled * np.exp(-0.5 * (w / sigma) ** 2)

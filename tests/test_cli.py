@@ -555,6 +555,28 @@ class TestConfigHandling:
             assert float(cells[column]) >= 0.0 and "_error:" not in cells["flags"]
             assert cells[column].startswith(value)
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--alpha", "1e150", "--epsilon", "1e300"],
+        ["bounds", "--source", "gaussian", "--sigma2", "1e-300", "--epsilon", "1e300"],
+    ], ids=["laplacian", "gaussian"])
+    def test_band_past_the_float_range_of_the_source_warns_nothing(self, capsys, argv):
+        # alpha (|y| + eps) and eps / sigma overflow to inf, where the density's
+        # terms take their limits: no numpy warning reaches stderr.  The source
+        # lies deep inside the band, so R_U is 0 to round-off and R_GE is the
+        # entropy gap of a Gaussian and a uniform law of equal variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert len(rows) == 20
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert 0.0 <= float(cells["R_u"]) <= 1e-12
+            assert float(cells["R_ge"]) == pytest.approx(0.5 * math.log(math.pi * math.e / 6.0),
+                                                         rel=1e-9)
+            assert "ru_error" not in cells["flags"] and "rge_error" not in cells["flags"]
+
 
 class TestBatchedColumn:
     """The R_U column of a share is one batch; a slope that fails in it is
