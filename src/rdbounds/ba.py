@@ -256,4 +256,3 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
                     iterations=iterations, converged=converged,
                     objective_violations=violations, max_objective_rise=max_rise,
                     gap=best_gap, certified_gap=min(best_objective - lower, best_gap))
-
