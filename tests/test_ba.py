@@ -47,6 +47,11 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             build_problem(GAU, EpsilonLoss(0.1), -2.0, n=1)
 
+    @pytest.mark.parametrize("s", [-math.inf, math.nan, 0.0])
+    def test_rejects_a_slope_outside_the_domain(self, s):
+        with pytest.raises(ValueError, match="slope s must be a finite negative real"):
+            build_problem(GAU, EpsilonLoss(0.1), s, n=101)
+
     def test_minimal_toy_problem(self):
         prob = build_problem(GAU, EpsilonLoss(0.0), -1.0, n=3)
         res = solve(prob, tol=1e-12, max_iter=5000)
