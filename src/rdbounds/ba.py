@@ -207,8 +207,9 @@ def ba_iterate(problem: BAProblem, tol: float = 1e-10, max_iter: int = 200_000) 
     update's product w = K (p / z) and Blahut's gap log max w, then updates
     q.  The iterate has stalled once sup|q' - q| < tol, and the solve stops,
     converged, at the first stall once the smallest gap so far is at most
-    1e-4 nats.  The iterate with that gap is returned, converged or not.  The
-    vectors live in the kernel's buffers, and the loop allocates nothing.
+    1e-4 nats, so ``tol = math.inf``, where every step stalls, stops on that
+    certificate alone.  The iterate with that gap is returned, converged or
+    not.  The vectors live in the kernel's buffers, and the loop allocates nothing.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
