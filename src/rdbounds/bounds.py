@@ -19,7 +19,8 @@ Implemented bounds, all in nats:
   for Laplacian sources
 
 Rates returned as :class:`RDPoint` are clamped at zero (the true curve is zero
-past d_max) with the raw value kept alongside, never silently.
+past d_max) with the raw value kept alongside, never silently.  Public
+functions check their inputs once; the ``_`` bodies take checked floats.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .convolution import conv_entropies
+from .convolution import _conv_entropies
 from .sources import Source
 from .tilted import (
     EpsilonLoss,
     _band_variance,
     _check_slope,
+    _check_slopes,
+    _distortion_of_slope,
+    _normalizer,
     _positive,
-    distortion_of_slope,
-    normalizer,
-    tilted_entropy,
+    _tilted_entropy,
 )
 
 __all__ = [
@@ -146,7 +148,7 @@ def laplacian_dmax_gaps(alpha: float, loss: EpsilonLoss) -> tuple[float, float]:
     first is the six-term series, whose next term is under 4e-17 of it;
     above, the direct form's cancellation costs at most 3e-6 of it.
     """
-    u = float(alpha) * loss.epsilon
+    u = _positive(alpha, "alpha") * loss.epsilon
     if u < _DMAX_GAP_SERIES_BELOW:
         band = 0.0
         for c in reversed(_DMAX_GAP_SERIES):
@@ -163,7 +165,7 @@ def slb_at_matched_slope(alpha: float, loss: EpsilonLoss) -> float:
     Equals 1 - log(1 + alpha eps) - 1/(1 + alpha eps), which is strictly
     negative for every alpha eps > 0 (and zero at eps = 0).
     """
-    u = float(alpha) * loss.epsilon
+    u = _positive(alpha, "alpha") * loss.epsilon
     return 1.0 - math.log1p(u) - 1.0 / (1.0 + u)
 
 
@@ -173,7 +175,7 @@ def trivial_upper_bound_laplacian(d: float, alpha: float) -> float:
     Upper-bounds the band-forgiving rate for every eps >= 0; zero for
     d >= 1/alpha.
     """
-    d = _positive(d, "distortion")
+    d, alpha = _positive(d, "distortion"), _positive(alpha, "alpha")
     return max(0.0, -math.log(alpha * d))
 
 
@@ -184,14 +186,18 @@ def convolution_upper_bounds(source: Source, slopes, loss: EpsilonLoss) -> list[
     :func:`conv_entropies` call, and each slope's value is the same in any
     batch.  Supports the source types it does; others raise TypeError.
     """
-    slopes = [_check_slope(s) for s in slopes]
-    return [_rate_point(distortion_of_slope(s, loss), h - tilted_entropy(s, loss), s)
-            for s, h in zip(slopes, conv_entropies(source, slopes, loss).tolist())]
+    return _convolution_upper_bounds(source, _check_slopes(slopes).reshape(-1), loss)
+
+
+def _convolution_upper_bounds(source: Source, s, loss: EpsilonLoss) -> list[RDPoint]:
+    eps, entropies = loss.epsilon, _conv_entropies(source, s, loss)
+    return [_rate_point(_distortion_of_slope(v, eps), h - _tilted_entropy(v, eps), v)
+            for v, h in zip(s.tolist(), entropies.tolist())]
 
 
 def convolution_upper_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
     """Upper bound h(g * p) - h(g) at one slope: convolution_upper_bounds' one-slope case."""
-    return convolution_upper_bounds(source, [s], loss)[0]
+    return _convolution_upper_bounds(source, _check_slopes(float(s)).reshape(-1), loss)[0]
 
 
 def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
@@ -200,14 +206,14 @@ def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoi
     log(Var p + Var g) is the log-sum of the tails' log(2/s^2) and log(Var p
     + the band's share), taken in units of max(eps, 1): finite wherever h(g) is.
     """
-    b, eps = -_check_slope(s), loss.epsilon
-    unit, two_pi_e = max(eps, 1.0), 2.0 * math.pi * math.e
+    s, eps = _check_slope(s), loss.epsilon
+    b, unit, two_pi_e = -s, max(eps, 1.0), 2.0 * math.pi * math.e
     band = 2.0 * math.log(unit) + math.log(
         two_pi_e * (source.variance() / unit / unit + _band_variance(b, eps, unit)))
     tails = math.log(2.0 * two_pi_e) - 2.0 * math.log(b)
     raw = (0.5 * (max(band, tails) + math.log1p(math.exp(-abs(band - tails))))
-           - tilted_entropy(s, loss))
-    return _rate_point(distortion_of_slope(s, loss), raw, s)
+           - _tilted_entropy(s, eps))
+    return _rate_point(_distortion_of_slope(s, eps), raw, s)
 
 
 def laplacian_upper_bound_terms(
@@ -218,9 +224,10 @@ def laplacian_upper_bound_terms(
     c_s lower-bounds the band part of 2 C(s) (g * p); b_int and e_int are the
     zeroth and first moments of its outer branch on [eps, inf).
     """
-    s = _check_slope(s)
-    alpha = float(alpha)
-    eps = loss.epsilon
+    return _laplacian_upper_bound_terms(_check_slope(s), _positive(alpha, "alpha"), loss.epsilon)
+
+
+def _laplacian_upper_bound_terms(s: float, alpha: float, eps: float) -> tuple[float, float, float]:
     # s < 0 and expm1 <= 0, so every term below is positive: 1 + c1 e2 and
     # c_s = 2 + c1 (1 + e2) with c1 = s / (alpha - s) -> -1 would cancel
     # as |s| grows, and c_s would round to 0 past |s| ~ 1e16
@@ -245,14 +252,13 @@ def analytic_upper_bound_laplacian(s: float, alpha: float, loss: EpsilonLoss) ->
     integrals, then subtracts h(g).  Valid on both sides of |s| = alpha and
     continuous through it.
     """
-    s = _check_slope(s)
-    c_s, b_int, e_int = laplacian_upper_bound_terms(s, alpha, loss)
-    c = normalizer(s, loss)
-    eps = loss.epsilon
+    s, alpha, eps = _check_slope(s), _positive(alpha, "alpha"), loss.epsilon
+    c_s, b_int, e_int = _laplacian_upper_bound_terms(s, alpha, eps)
+    c = _normalizer(s, eps)
     h_r_upper = (
         -math.log(c_s / (2.0 * c))
         - (alpha * eps / c) * b_int
         + (alpha / c) * e_int
     )
-    raw = h_r_upper - tilted_entropy(s, loss)
-    return _rate_point(distortion_of_slope(s, loss), raw, s)
+    raw = h_r_upper - _tilted_entropy(s, eps)
+    return _rate_point(_distortion_of_slope(s, eps), raw, s)

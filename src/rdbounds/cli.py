@@ -195,33 +195,33 @@ def _sweep_rows(source, loss, selected, points, ba_n, args):
               if "ru" in selected else None)
     except (ValueError, ArithmeticError):
         ru = None
+    h_p = source.differential_entropy() if "slb" in selected else None
+    cells = {  # bound -> its raw rate at point i = (s, d)
+        "slb": lambda i, s, d: bounds_mod.shannon_lower_bound(d, h_p, loss),
+        "ru": lambda i, s, d: (ru[i] if ru is not None
+                               else bounds_mod.convolution_upper_bound(source, s, loss)).raw_rate,
+        "rau": lambda i, s, d: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha,
+                                                                          loss).raw_rate,
+        "rge": lambda i, s, d: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
+        "trivial": lambda i, s, d: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
+        # tol = inf makes every step a stall, so the solve stops at the first iterate
+        # whose Blahut gap is <= 1e-4 nats (ba._CERTIFIED_GAP), or uncertified at the cap
+        "ba": lambda i, s, d: ba_mod.ba_iterate(ba_mod.build_problem(source, loss, s, n=ba_n),
+                                                tol=math.inf, max_iter=args.ba_max_iter),
+    }
+    cells = [(bound, compute) for bound, compute in cells.items() if bound in selected]
     rows = []
     for i, (s, d) in enumerate(points):
         row = dict(s=s, D=d, **dict.fromkeys(RATE_COLUMNS.values()), notes={}, errors=[], ba=None)
         notes = row["notes"]
-        cells = {
-            "slb": lambda: bounds_mod.shannon_lower_bound(d, source.differential_entropy(), loss),
-            "ru": lambda: (ru[i] if ru is not None
-                           else bounds_mod.convolution_upper_bound(source, s, loss)).raw_rate,
-            "rau": lambda: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha,
-                                                                      loss).raw_rate,
-            "rge": lambda: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
-            "trivial": lambda: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
-            # tol = inf makes every step a stall, so the solve stops at the first iterate
-            # whose Blahut gap is <= 1e-4 nats (ba._CERTIFIED_GAP), or uncertified at the cap
-            "ba": lambda: ba_mod.ba_iterate(ba_mod.build_problem(source, loss, s, n=ba_n),
-                                            tol=math.inf, max_iter=args.ba_max_iter),
-        }
-        for bound, compute in cells.items():
-            if bound not in selected:
-                continue
+        for bound, compute in cells:
             if bound in ("rau", "trivial") and not isinstance(source, Laplacian):
                 notes[bound] = f"{bound}_unsupported"
                 continue
             # a closed form can overflow or divide by an underflowed term at an
             # extreme slope; that cell is noted, and the rest of the row stands
             try:
-                raw = compute()
+                raw = compute(i, s, d)
                 if bound == "ba":  # the row keeps the solve; its rate is the cell
                     row["ba"], raw = raw, raw.rate
                 failure = None if math.isfinite(raw) else "non-finite"

@@ -34,7 +34,7 @@ import numpy as np
 
 from .quadrature import panel_edges, panel_nodes
 from .sources import Gaussian, Laplacian, Source, Tabulated
-from .tilted import EpsilonLoss, _check_slope, _check_slopes, _kernel_reach, _normalizer
+from .tilted import EpsilonLoss, _check_slope, _check_slopes, _kernel_reach, _normalizer, _positive
 
 __all__ = ["laplacian_conv_pdf", "conv_pdf", "conv_entropies"]
 
@@ -94,10 +94,11 @@ def laplacian_conv_pdf(y, s, alpha: float, loss: EpsilonLoss):
     continuous in s there too.  The slope s is one value or an array
     broadcast against y.
     """
-    alpha = float(alpha)
-    eps = loss.epsilon
-    s = _check_slopes(s)
-    y = np.asarray(y, dtype=float)
+    alpha = _positive(alpha, "alpha")
+    return _laplacian_conv_pdf(np.asarray(y, dtype=float), _check_slopes(s), alpha, loss.epsilon)
+
+
+def _laplacian_conv_pdf(y: np.ndarray, s: np.ndarray, alpha: float, eps: float):
     shape = np.broadcast_shapes(y.shape, s.shape)
     ay = np.broadcast_to(np.abs(y), shape).reshape(-1)
     # one slope stays a scalar; an array of them is flattened along with y
@@ -340,7 +341,7 @@ def conv_pdf(source: Source, s, loss: EpsilonLoss, y) -> np.ndarray:
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if isinstance(source, Laplacian):
-        return laplacian_conv_pdf(y, s, source.alpha, loss)
+        return _laplacian_conv_pdf(y, _check_slopes(s), source.alpha, loss.epsilon)
     if isinstance(source, Gaussian):
         s, ay, eps = _check_slopes(s), np.abs(y), loss.epsilon
         band = _gaussian_band(ay, source.sigma, eps)
@@ -372,7 +373,10 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
     in panel order, so its value is the same in any batch.  Other source types
     raise TypeError.
     """
-    s = _check_slopes(slopes).reshape(-1)
+    return _conv_entropies(source, _check_slopes(slopes).reshape(-1), loss)
+
+
+def _conv_entropies(source: Source, s: np.ndarray, loss: EpsilonLoss) -> np.ndarray:
     if isinstance(source, Tabulated):
         return _tabulated_entropies(source, s, loss)
     if not isinstance(source, (Laplacian, Gaussian)):
@@ -405,9 +409,10 @@ def conv_entropies(source: Source, slopes, loss: EpsilonLoss) -> np.ndarray:
             last += 1
         lo, hi = starts[first], starts[last]
         yn, wq = panel_nodes(panels[:, lo:hi], n)
-        f = _neg_r_log_r(conv_pdf(source, np.repeat(s[chain[lo:hi]], n), loss, yn))
+        f = _neg_r_log_r(_laplacian_conv_pdf(yn, np.repeat(s[chain[lo:hi]], n), source.alpha, eps))
         for k in range(first, last):
             a, b = (starts[k] - lo) * n, (starts[k + 1] - lo) * n
             out[k] = 2.0 * float(np.dot(wq[a:b], f[a:b]))
         first = last
-    return out + 2.0 * _exp_tail_entropy(conv_pdf(source, s, loss, eps + span), -s)
+    r0 = _laplacian_conv_pdf(np.array([eps + span]), s, source.alpha, eps)
+    return out + 2.0 * _exp_tail_entropy(r0, -s)

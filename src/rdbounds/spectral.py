@@ -4,7 +4,8 @@ Every density in scope is even, so all characteristic functions here are
 real-valued cosine transforms.  The tilted kernel's CF factors exactly into a
 Laplace CF times the CF of a delta-pair/uniform mixture; the two certificate
 functions below witness that no valid reproduction CF can close the
-factorization for Laplacian (|s| > alpha) or Gaussian sources.
+factorization for Laplacian (|s| > alpha) or Gaussian sources.  Public
+functions check their inputs once; the ``_`` bodies take checked floats.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import math
 
 import numpy as np
 
-from .sources import Gaussian
-from .tilted import EpsilonLoss, _check_slope
+from .tilted import EpsilonLoss, _check_slope, _positive
 
 __all__ = [
     "laplace_cf",
@@ -32,16 +32,17 @@ def _sinc(u):
     The quotient does not cancel: sin(u) keeps its relative accuracy down to
     the smallest subnormal, so only the 0/0 at u = 0 needs a branch.
     """
-    u = np.asarray(u, dtype=float)
     return np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0)
 
 
 def laplace_cf(omega, s: float):
     """CF of the Laplace density with rate |s|: s^2 / (s^2 + omega^2)."""
-    s = _check_slope(s)
-    omega = np.asarray(omega, dtype=float)
-    out = s * s / (s * s + omega * omega)
+    out = _laplace_cf(np.asarray(omega, dtype=float), _check_slope(s))
     return out if out.ndim else float(out)
+
+
+def _laplace_cf(omega, s: float):
+    return s * s / (s * s + omega * omega)
 
 
 def mixture_cf(omega, s: float, loss: EpsilonLoss):
@@ -50,17 +51,20 @@ def mixture_cf(omega, s: float, loss: EpsilonLoss):
     (eps |s| sinc(omega eps) + cos(omega eps)) / (1 + |s| eps); identically 1
     at eps = 0.
     """
-    s = _check_slope(s)
-    eps = loss.epsilon
-    omega = np.asarray(omega, dtype=float)
-    u = omega * eps
-    out = (eps * abs(s) * _sinc(u) + np.cos(u)) / (1.0 + abs(s) * eps)
+    out = _mixture_cf(np.asarray(omega, dtype=float), _check_slope(s), loss.epsilon)
     return out if out.ndim else float(out)
+
+
+def _mixture_cf(omega, s: float, eps: float):
+    u = omega * eps
+    return (eps * abs(s) * _sinc(u) + np.cos(u)) / (1.0 + abs(s) * eps)
 
 
 def tilted_cf(omega, s: float, loss: EpsilonLoss):
     """CF of the tilted kernel: the product of the two factors above."""
-    return laplace_cf(omega, s) * mixture_cf(omega, s, loss)
+    s, omega = _check_slope(s), np.asarray(omega, dtype=float)
+    out = _laplace_cf(omega, s) * _mixture_cf(omega, s, loss.epsilon)
+    return out if out.ndim else float(out)
 
 
 def laplacian_witness(alpha: float, s: float, loss: EpsilonLoss, k: int) -> float:
@@ -71,26 +75,36 @@ def laplacian_witness(alpha: float, s: float, loss: EpsilonLoss, k: int) -> floa
     as it exceeds 1 no valid characteristic function exists.  Requires eps > 0
     and |s| > alpha.
     """
-    s = _check_slope(s)
-    alpha = float(alpha)
+    alpha, s, eps = _witness_args(alpha, s, loss)
+    k = int(k)
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    return _laplacian_witness(alpha, s, eps, k)
+
+
+def _witness_args(alpha, s, loss: EpsilonLoss) -> tuple[float, float, float]:
+    """(alpha, s, eps) checked for a witness: eps > 0 and |s| > alpha."""
+    s, alpha = _check_slope(s), _positive(alpha, "alpha")
     if loss.epsilon <= 0.0:
         raise ValueError("witness requires epsilon > 0")
     if abs(s) <= alpha:
         raise ValueError(f"witness requires |s| > alpha, got |s| = {abs(s)!r}, alpha = {alpha!r}")
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    u = loss.epsilon * abs(s)
+    return alpha, s, loss.epsilon
+
+
+def _laplacian_witness(alpha: float, s: float, eps: float, k: int) -> float:
+    u = eps * abs(s)
     return (alpha**2 / (s * s)) * ((1.0 + u) / u) * (2.0 * k - 0.5) * math.pi
 
 
 def first_witness_index(alpha: float, s: float, loss: EpsilonLoss, threshold: float = 1.0) -> int:
     """Smallest k whose witness exceeds threshold (exists: the bound is unbounded in k)."""
-    coef = laplacian_witness(alpha, s, loss, 1) / (1.5 * math.pi)
+    args = _witness_args(alpha, s, loss)
+    coef = _laplacian_witness(*args, 1) / (1.5 * math.pi)
     k = max(1, int(math.ceil((threshold / coef / math.pi + 0.5) / 2.0)) - 1)
-    while laplacian_witness(alpha, s, loss, k) <= threshold:
+    while _laplacian_witness(*args, k) <= threshold:
         k += 1
-    while k > 1 and laplacian_witness(alpha, s, loss, k - 1) > threshold:
+    while k > 1 and _laplacian_witness(*args, k - 1) > threshold:
         k -= 1
     return k
 
@@ -102,9 +116,7 @@ def gaussian_deconvolution_density(x, sigma2: float, s: float):
     but turns negative for |x| > sigma sqrt(1 + s^2 sigma^2), so it is not a
     density and the lower bound cannot be tight for Gaussian sources.
     """
-    s = _check_slope(s)
-    source = Gaussian(sigma2)
-    sigma2 = source.sigma2
-    x = np.asarray(x, dtype=float)
-    out = source.pdf(x) * (1.0 + 1.0 / (s * s * sigma2) - x * x / (s * s * sigma2 * sigma2))
+    s, sigma2, x = _check_slope(s), _positive(sigma2, "sigma2"), np.asarray(x, dtype=float)
+    pdf = np.exp(-0.5 * x * x / sigma2) / math.sqrt(2.0 * math.pi * sigma2)  # Gaussian.pdf
+    out = pdf * (1.0 + 1.0 / (s * s * sigma2) - x * x / (s * s * sigma2 * sigma2))
     return out if out.ndim else float(out)

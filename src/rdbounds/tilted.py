@@ -4,7 +4,8 @@ For a slope s < 0 the tilted density g(x) = exp(s * loss(x)) / C(s) is flat
 on the insensitivity band [-epsilon, epsilon] and has Laplace tails of rate
 |s| outside it.  Everything below is exact closed form; entropies and rates
 are in nats.  There is no upper limit on |s|, but relative accuracy of the
-derived quantities degrades gradually once |s| exceeds ~1e12.
+derived quantities degrades gradually once |s| exceeds ~1e12.  Public
+functions check their inputs once; the ``_`` bodies take checked floats.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def _kernel_reach(s):
     return 45.0 / abs(s)
 
 
+def _tilted_entropy(s: float, eps: float) -> float:
+    return math.log(_normalizer(s, eps)) + 1.0 / (1.0 + abs(s) * eps)
+
+
+def _distortion_of_slope(s: float, eps: float) -> float:
+    return 1.0 / ((1.0 + eps * abs(s)) * abs(s))
+
+
 def normalizer(s: float, loss: EpsilonLoss) -> float:
     """Normalizing constant C(s) = integral of exp(s * loss) = 2(1 + |s| eps)/|s|."""
     return _normalizer(_check_slope(s), loss.epsilon)
@@ -92,8 +101,7 @@ def tilted_pdf(x, s: float, loss: EpsilonLoss):
 
 def tilted_entropy(s: float, loss: EpsilonLoss) -> float:
     """Differential entropy of the tilted density: log C(s) + 1/(1 + |s| eps)."""
-    s = _check_slope(s)
-    return math.log(_normalizer(s, loss.epsilon)) + 1.0 / (1.0 + abs(s) * loss.epsilon)
+    return _tilted_entropy(_check_slope(s), loss.epsilon)
 
 
 def distortion_of_slope(s: float, loss: EpsilonLoss) -> float:
@@ -101,8 +109,7 @@ def distortion_of_slope(s: float, loss: EpsilonLoss) -> float:
 
     Strictly decreasing in |s|; diverges as s -> 0- and vanishes as s -> -inf.
     """
-    s = _check_slope(s)
-    return 1.0 / ((1.0 + loss.epsilon * abs(s)) * abs(s))
+    return _distortion_of_slope(_check_slope(s), loss.epsilon)
 
 
 def slope_of_distortion(d: float, loss: EpsilonLoss) -> float:

@@ -592,7 +592,7 @@ class TestConvolutionUpperBound:
 
         monkeypatch.setattr(convolution, "panel_edges", recording_panel_edges)
         # the density is a stand-in: only the layout is checked
-        monkeypatch.setattr(convolution, "conv_pdf", lambda *args: np.ones(np.shape(args[-1])))
+        monkeypatch.setattr(convolution, "_laplacian_conv_pdf", lambda y, *rest: np.ones(y.shape))
         for eps in bands:
             convolution.conv_entropies(src, slopes, EpsilonLoss(eps))
             panels, chain = layouts.pop()
@@ -673,19 +673,19 @@ class TestBatchedUpperBound:
         alone = self.alone(src, loss)
         chunks = []
 
-        def counting_pdf(source, s, loss, y):
+        def counting_pdf(y, *rest):
             chunks.append(np.size(y))
-            return real_pdf(source, s, loss, y)
+            return real_pdf(y, *rest)
 
         def counting_tails(ay, b, *rest):
             chunks.append(2 * np.broadcast(ay, b).size)
             return real_tails(ay, b, *rest)
 
-        real_pdf, real_tails = convolution.conv_pdf, convolution._gaussian_tails
+        real_pdf, real_tails = convolution._laplacian_conv_pdf, convolution._gaussian_tails
         if src is GAU:
             monkeypatch.setattr(convolution, "_gaussian_tails", counting_tails)
         else:
-            monkeypatch.setattr(convolution, "conv_pdf", counting_pdf)
+            monkeypatch.setattr(convolution, "_laplacian_conv_pdf", counting_pdf)
         shuffled = list(np.random.default_rng(6).permutation(self.SLOPES))
         for target in shuffled[:2]:
             rest = [s for s in shuffled if s != target]

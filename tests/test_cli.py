@@ -621,14 +621,14 @@ class TestBatchedColumn:
     def test_raising_slope_noted_on_its_own_row(self, capsys, monkeypatch):
         clean = self.rows(capsys, "--bounds", "ru")
         bad = -float(np.geomspace(0.5, 50, 7)[5])
-        real_entropy = bounds.tilted_entropy
+        real_entropy = bounds._tilted_entropy
 
-        def entropy(s, loss):
+        def entropy(s, eps):
             if s == bad:
                 raise OverflowError("math range error")
-            return real_entropy(s, loss)
+            return real_entropy(s, eps)
 
-        monkeypatch.setattr(bounds, "tilted_entropy", entropy)
+        monkeypatch.setattr(bounds, "_tilted_entropy", entropy)
         rows = self.rows(capsys, "--bounds", "ru")
         for row, want in zip(rows, clean):
             if float(row[0]) == float(f"{bad:.12g}"):
