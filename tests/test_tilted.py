@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -8,11 +9,16 @@ from rdbounds import (
     EpsilonLoss,
     Gaussian,
     Laplacian,
+    Tabulated,
+    bounds,
+    convolution,
     distortion_of_slope,
     gaussian_deconvolution_density,
     normalizer,
     shannon_lower_bound,
     slope_of_distortion,
+    spectral,
+    tilted,
     tilted_entropy,
     tilted_pdf,
     tilted_variance,
@@ -176,6 +182,22 @@ class TestPositiveParameters:
         "gaussian_deconvolution_density": ("sigma2",
                                            lambda v: gaussian_deconvolution_density(0.5, v, -2.0)),
     }
+    # every public function that takes a bare alpha (here with a valid slope
+    # |s| > 1 and band), which at alpha = -1 gave plausible numbers, not errors
+    ALPHA_CALLS = {
+        "analytic_upper_bound_laplacian": lambda v: bounds.analytic_upper_bound_laplacian(
+            -5.0, v, EpsilonLoss(0.1)),
+        "laplacian_upper_bound_terms": lambda v: bounds.laplacian_upper_bound_terms(
+            -5.0, v, EpsilonLoss(0.1)),
+        "trivial_upper_bound_laplacian": lambda v: trivial_upper_bound_laplacian(0.5, v),
+        "slb_at_matched_slope": lambda v: bounds.slb_at_matched_slope(v, EpsilonLoss(0.1)),
+        "laplacian_dmax_gaps": lambda v: bounds.laplacian_dmax_gaps(v, EpsilonLoss(0.1)),
+        "laplacian_witness": lambda v: spectral.laplacian_witness(v, -5.0, EpsilonLoss(0.1), 1),
+        "first_witness_index": lambda v: spectral.first_witness_index(v, -5.0, EpsilonLoss(0.1)),
+        "laplacian_conv_pdf": lambda v: convolution.laplacian_conv_pdf(
+            [0.0, 1.0], -5.0, v, EpsilonLoss(0.1)),
+    }
+    CALLS.update({f"{callee}-alpha": ("alpha", call) for callee, call in ALPHA_CALLS.items()})
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("callee", sorted(CALLS))
@@ -184,3 +206,68 @@ class TestPositiveParameters:
         want = f"{name} must be a finite positive real, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             call(value)
+
+    def test_every_public_alpha_is_covered(self):
+        assert set(self.ALPHA_CALLS) == set(_public_taking(("alpha",)))
+
+
+def _public_taking(params):
+    """Names of the public functions of tilted, bounds, spectral and convolution
+    with a parameter named in params."""
+    return [name for module in (tilted, bounds, spectral, convolution) for name in module.__all__
+            if inspect.isfunction(fn := getattr(module, name))
+            and set(params) & set(inspect.signature(fn).parameters)]
+
+
+class TestSlopeParameters:
+    """Every public function that takes a slope refuses one that is not a
+    finite negative real, with the slope message, at its entry check."""
+
+    LOSS = EpsilonLoss(0.1)
+    TAB = Tabulated(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+    CALLS = {
+        "normalizer": lambda s: normalizer(s, TestSlopeParameters.LOSS),
+        "tilted_pdf": lambda s: tilted_pdf([0.0, 1.0], s, TestSlopeParameters.LOSS),
+        "tilted_entropy": lambda s: tilted_entropy(s, TestSlopeParameters.LOSS),
+        "tilted_variance": lambda s: tilted_variance(s, TestSlopeParameters.LOSS),
+        "distortion_of_slope": lambda s: distortion_of_slope(s, TestSlopeParameters.LOSS),
+        "convolution_upper_bounds": lambda s: bounds.convolution_upper_bounds(
+            Laplacian(1.0), [-1.0, s], TestSlopeParameters.LOSS),
+        "convolution_upper_bound": lambda s: bounds.convolution_upper_bound(
+            Gaussian(1.0), s, TestSlopeParameters.LOSS),
+        "gaussian_entropy_bound": lambda s: bounds.gaussian_entropy_bound(
+            Gaussian(1.0), s, TestSlopeParameters.LOSS),
+        "laplacian_upper_bound_terms": lambda s: bounds.laplacian_upper_bound_terms(
+            s, 1.0, TestSlopeParameters.LOSS),
+        "analytic_upper_bound_laplacian": lambda s: bounds.analytic_upper_bound_laplacian(
+            s, 1.0, TestSlopeParameters.LOSS),
+        "laplace_cf": lambda s: spectral.laplace_cf([0.0, 1.0], s),
+        "mixture_cf": lambda s: spectral.mixture_cf([0.0, 1.0], s, TestSlopeParameters.LOSS),
+        "tilted_cf": lambda s: spectral.tilted_cf([0.0, 1.0], s, TestSlopeParameters.LOSS),
+        "laplacian_witness": lambda s: spectral.laplacian_witness(
+            1.0, s, TestSlopeParameters.LOSS, 1),
+        "first_witness_index": lambda s: spectral.first_witness_index(
+            1.0, s, TestSlopeParameters.LOSS),
+        "gaussian_deconvolution_density": lambda s: gaussian_deconvolution_density(0.5, 1.0, s),
+        "laplacian_conv_pdf": lambda s: convolution.laplacian_conv_pdf(
+            [0.0, 1.0], [-1.0, s], 1.0, TestSlopeParameters.LOSS),
+        "conv_pdf-laplacian": lambda s: convolution.conv_pdf(
+            Laplacian(1.0), s, TestSlopeParameters.LOSS, [0.0, 1.0]),
+        "conv_pdf-gaussian": lambda s: convolution.conv_pdf(
+            Gaussian(1.0), [-1.0, s], TestSlopeParameters.LOSS, [0.0, 1.0]),
+        "conv_pdf-tabulated": lambda s: convolution.conv_pdf(
+            TestSlopeParameters.TAB, s, TestSlopeParameters.LOSS, [0.0, 1.0]),
+        "conv_entropies": lambda s: convolution.conv_entropies(
+            TestSlopeParameters.TAB, [-1.0, s], TestSlopeParameters.LOSS),
+    }
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, math.nan, -math.inf])
+    @pytest.mark.parametrize("callee", sorted(CALLS))
+    def test_refused_with_the_slope_message(self, callee, value):
+        want = f"slope s must be a finite negative real, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            self.CALLS[callee](value)
+
+    def test_every_public_slope_is_covered(self):
+        assert {callee.split("-")[0] for callee in self.CALLS} == set(
+            _public_taking(("s", "slopes")))
