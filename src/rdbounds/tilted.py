@@ -69,9 +69,8 @@ def _check_slopes(s) -> np.ndarray:
 
 
 def _normalizer(s, eps: float):
-    """C(s) = 2(1 + |s| eps)/|s| of valid slopes, elementwise over an array."""
-    b = abs(s)
-    return 2.0 * (1.0 + b * eps) / b
+    """C(s) = 2/|s| + 2 eps of valid slopes (elementwise), finite wherever C(s) is."""
+    return 2.0 / abs(s) + 2.0 * eps
 
 
 def _kernel_reach(s):
@@ -88,7 +87,7 @@ def _distortion_of_slope(s: float, eps: float) -> float:
 
 
 def normalizer(s: float, loss: EpsilonLoss) -> float:
-    """Normalizing constant C(s) = integral of exp(s * loss) = 2(1 + |s| eps)/|s|."""
+    """Normalizing constant C(s) = integral of exp(s * loss) = 2/|s| + 2 eps."""
     return _normalizer(_check_slope(s), loss.epsilon)
 
 

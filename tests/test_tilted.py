@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ class TestNormalizer:
         assert normalizer(-1.0, EpsilonLoss(0.0)) == pytest.approx(2.0, rel=1e-15)
         assert normalizer(-2.0, EpsilonLoss(0.5)) == pytest.approx(2.0, rel=1e-15)
         assert normalizer(-2.0, EpsilonLoss(0.1)) == pytest.approx(1.2, rel=1e-15)
+
+    def test_finite_where_the_slope_band_product_overflows(self):
+        # |s| eps = 1e312 is past the float range, but C(s) ~ 2 eps is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normalizer(-1e300, EpsilonLoss(1e12)) == 2e12
 
     @pytest.mark.parametrize("s", [0.0, 1.0, math.inf, math.nan])
     def test_domain(self, s):
