@@ -197,7 +197,7 @@ def _convolution_upper_bounds(source: Source, s, loss: EpsilonLoss) -> list[RDPo
 
 def convolution_upper_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
     """Upper bound h(g * p) - h(g) at one slope: convolution_upper_bounds' one-slope case."""
-    return _convolution_upper_bounds(source, _check_slopes(float(s)).reshape(-1), loss)[0]
+    return _convolution_upper_bounds(source, _check_slopes([float(s)]), loss)[0]
 
 
 def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
