@@ -75,36 +75,37 @@ def laplacian_witness(alpha: float, s: float, loss: EpsilonLoss, k: int) -> floa
     as it exceeds 1 no valid characteristic function exists.  Requires eps > 0
     and |s| > alpha.
     """
-    alpha, s, eps = _witness_args(alpha, s, loss)
+    coef = _witness_coef(alpha, s, loss)
     k = int(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return _laplacian_witness(alpha, s, eps, k)
+    return _laplacian_witness(coef, k)
 
 
-def _witness_args(alpha, s, loss: EpsilonLoss) -> tuple[float, float, float]:
-    """(alpha, s, eps) checked for a witness: eps > 0 and |s| > alpha."""
+def _witness_coef(alpha, s, loss: EpsilonLoss) -> float:
+    """The witness over (2k - 1/2) pi: alpha^2/s^2 (1 + u)/u, u = eps |s|, inputs checked."""
     s, alpha = _check_slope(s), _positive(alpha, "alpha")
     if loss.epsilon <= 0.0:
         raise ValueError("witness requires epsilon > 0")
     if abs(s) <= alpha:
         raise ValueError(f"witness requires |s| > alpha, got |s| = {abs(s)!r}, alpha = {alpha!r}")
-    return alpha, s, loss.epsilon
+    u = loss.epsilon * abs(s)
+    return (alpha**2 / (s * s)) * ((1.0 + u) / u)
 
 
-def _laplacian_witness(alpha: float, s: float, eps: float, k: int) -> float:
-    u = eps * abs(s)
-    return (alpha**2 / (s * s)) * ((1.0 + u) / u) * (2.0 * k - 0.5) * math.pi
+def _laplacian_witness(coef: float, k: int) -> float:
+    return coef * (2.0 * k - 0.5) * math.pi
 
 
 def first_witness_index(alpha: float, s: float, loss: EpsilonLoss, threshold: float = 1.0) -> int:
-    """Smallest k whose witness exceeds threshold (exists: the bound is unbounded in k)."""
-    args = _witness_args(alpha, s, loss)
-    coef = _laplacian_witness(*args, 1) / (1.5 * math.pi)
+    """Smallest k whose witness exceeds threshold (exists: the bound is unbounded in k).
+
+    The witness is nondecreasing in k, so the k found from any first guess is the same."""
+    coef = _witness_coef(alpha, s, loss)
     k = max(1, int(math.ceil((threshold / coef / math.pi + 0.5) / 2.0)) - 1)
-    while _laplacian_witness(*args, k) <= threshold:
+    while _laplacian_witness(coef, k) <= threshold:
         k += 1
-    while k > 1 and _laplacian_witness(*args, k - 1) > threshold:
+    while k > 1 and _laplacian_witness(coef, k - 1) > threshold:
         k -= 1
     return k
 
