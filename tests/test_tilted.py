@@ -226,46 +226,41 @@ def _public_taking(params):
             and set(params) & set(inspect.signature(fn).parameters)]
 
 
+LOSS = EpsilonLoss(0.1)
+TAB = Tabulated(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+
+
 class TestSlopeParameters:
     """Every public function that takes a slope refuses one that is not a
     finite negative real, with the slope message, at its entry check."""
 
-    LOSS = EpsilonLoss(0.1)
-    TAB = Tabulated(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
     CALLS = {
-        "normalizer": lambda s: normalizer(s, TestSlopeParameters.LOSS),
-        "tilted_pdf": lambda s: tilted_pdf([0.0, 1.0], s, TestSlopeParameters.LOSS),
-        "tilted_entropy": lambda s: tilted_entropy(s, TestSlopeParameters.LOSS),
-        "tilted_variance": lambda s: tilted_variance(s, TestSlopeParameters.LOSS),
-        "distortion_of_slope": lambda s: distortion_of_slope(s, TestSlopeParameters.LOSS),
+        "normalizer": lambda s: normalizer(s, LOSS),
+        "tilted_pdf": lambda s: tilted_pdf([0.0, 1.0], s, LOSS),
+        "tilted_entropy": lambda s: tilted_entropy(s, LOSS),
+        "tilted_variance": lambda s: tilted_variance(s, LOSS),
+        "distortion_of_slope": lambda s: distortion_of_slope(s, LOSS),
         "convolution_upper_bounds": lambda s: bounds.convolution_upper_bounds(
-            Laplacian(1.0), [-1.0, s], TestSlopeParameters.LOSS),
+            Laplacian(1.0), [-1.0, s], LOSS),
         "convolution_upper_bound": lambda s: bounds.convolution_upper_bound(
-            Gaussian(1.0), s, TestSlopeParameters.LOSS),
-        "gaussian_entropy_bound": lambda s: bounds.gaussian_entropy_bound(
-            Gaussian(1.0), s, TestSlopeParameters.LOSS),
-        "laplacian_upper_bound_terms": lambda s: bounds.laplacian_upper_bound_terms(
-            s, 1.0, TestSlopeParameters.LOSS),
+            Gaussian(1.0), s, LOSS),
+        "gaussian_entropy_bound": lambda s: bounds.gaussian_entropy_bound(Gaussian(1.0), s, LOSS),
+        "laplacian_upper_bound_terms": lambda s: bounds.laplacian_upper_bound_terms(s, 1.0, LOSS),
         "analytic_upper_bound_laplacian": lambda s: bounds.analytic_upper_bound_laplacian(
-            s, 1.0, TestSlopeParameters.LOSS),
+            s, 1.0, LOSS),
         "laplace_cf": lambda s: spectral.laplace_cf([0.0, 1.0], s),
-        "mixture_cf": lambda s: spectral.mixture_cf([0.0, 1.0], s, TestSlopeParameters.LOSS),
-        "tilted_cf": lambda s: spectral.tilted_cf([0.0, 1.0], s, TestSlopeParameters.LOSS),
-        "laplacian_witness": lambda s: spectral.laplacian_witness(
-            1.0, s, TestSlopeParameters.LOSS, 1),
-        "first_witness_index": lambda s: spectral.first_witness_index(
-            1.0, s, TestSlopeParameters.LOSS),
+        "mixture_cf": lambda s: spectral.mixture_cf([0.0, 1.0], s, LOSS),
+        "tilted_cf": lambda s: spectral.tilted_cf([0.0, 1.0], s, LOSS),
+        "laplacian_witness": lambda s: spectral.laplacian_witness(1.0, s, LOSS, 1),
+        "first_witness_index": lambda s: spectral.first_witness_index(1.0, s, LOSS),
         "gaussian_deconvolution_density": lambda s: gaussian_deconvolution_density(0.5, 1.0, s),
         "laplacian_conv_pdf": lambda s: convolution.laplacian_conv_pdf(
-            [0.0, 1.0], [-1.0, s], 1.0, TestSlopeParameters.LOSS),
-        "conv_pdf-laplacian": lambda s: convolution.conv_pdf(
-            Laplacian(1.0), s, TestSlopeParameters.LOSS, [0.0, 1.0]),
+            [0.0, 1.0], [-1.0, s], 1.0, LOSS),
+        "conv_pdf-laplacian": lambda s: convolution.conv_pdf(Laplacian(1.0), s, LOSS, [0.0, 1.0]),
         "conv_pdf-gaussian": lambda s: convolution.conv_pdf(
-            Gaussian(1.0), [-1.0, s], TestSlopeParameters.LOSS, [0.0, 1.0]),
-        "conv_pdf-tabulated": lambda s: convolution.conv_pdf(
-            TestSlopeParameters.TAB, s, TestSlopeParameters.LOSS, [0.0, 1.0]),
-        "conv_entropies": lambda s: convolution.conv_entropies(
-            TestSlopeParameters.TAB, [-1.0, s], TestSlopeParameters.LOSS),
+            Gaussian(1.0), [-1.0, s], LOSS, [0.0, 1.0]),
+        "conv_pdf-tabulated": lambda s: convolution.conv_pdf(TAB, s, LOSS, [0.0, 1.0]),
+        "conv_entropies": lambda s: convolution.conv_entropies(TAB, [-1.0, s], LOSS),
     }
 
     @pytest.mark.parametrize("value", [0.0, 0.5, math.nan, -math.inf])
