@@ -20,13 +20,19 @@ Implemented bounds, all in nats:
 
 Rates returned as :class:`RDPoint` are clamped at zero (the true curve is zero
 past d_max) with the raw value kept alongside, never silently.  Public
-functions check their inputs once; the ``_`` bodies take checked floats.
+functions check their inputs once.  The ``_`` bodies of the closed forms and
+of R_U take a checked array of slopes (or distortions) and give one raw rate
+each, so a public function is its body's one-value case and a sweep's column
+is one body call; a rate past the float range comes out inf or NaN, and the
+public closed forms return it with no numpy warning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .convolution import _conv_entropies
 from .sources import Source
@@ -36,6 +42,7 @@ from .tilted import (
     _check_slope,
     _check_slopes,
     _distortion_of_slope,
+    _log_normalizer,
     _normalizer,
     _positive,
     _tilted_entropy,
@@ -77,6 +84,13 @@ def _rate_point(d: float, raw: float, s: float) -> RDPoint:
     return RDPoint(d=d, r=max(0.0, raw), s=s, raw_rate=raw)
 
 
+def _rate_points(s, eps: float, raw) -> list[RDPoint]:
+    """One point per checked slope of the array s, raw the array of its raw rates."""
+    with np.errstate(over="ignore"):  # eps |s| past the float range gives D = 0
+        d = _distortion_of_slope(s, eps)
+    return [_rate_point(*point) for point in zip(d.tolist(), raw.tolist(), s.tolist())]
+
+
 def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> float:
     """Closed-form lower bound h(p) - log(2 eps + d + r) - 2d/(d + r), r = sqrt(d (d + 4 eps)).
 
@@ -84,14 +98,20 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     units of m = max(d, eps) no sum overflows, so it is finite for every d > 0;
     at eps = 0 it is h(p) - log d - log 2 - 1, the limit of small eps.
     """
-    d, eps = _positive(d, "distortion"), loss.epsilon
-    m = max(d, eps)
+    d = np.array([_positive(d, "distortion")])
+    return float(_shannon_lower_bound(d, source_entropy, loss.epsilon)[0])
+
+
+def _shannon_lower_bound(d, source_entropy: float, eps: float):
+    m = np.maximum(d, eps)
     # r / m as a product of roots, which cannot overflow however small eps is;
     # 2d/(d + r) in quotient form, 0 where eps/d overflows; the terms summed exactly
     x, e = d / m, eps / m
-    return math.fsum((source_entropy, -math.log(m),
-                      -math.log(2.0 * e + x + math.sqrt(x) * math.sqrt(x + 4.0 * e)),
-                      -2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (eps / d)))))
+    with np.errstate(over="ignore"):
+        quotient = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * (eps / d)))
+    terms = zip(np.log(m).tolist(),
+                np.log(2.0 * e + x + np.sqrt(x) * np.sqrt(x + 4.0 * e)).tolist(), quotient.tolist())
+    return np.array([math.fsum((source_entropy, -a, -b, -c)) for a, b, c in terms])
 
 
 def _lambertw0(x: float) -> float:
@@ -175,8 +195,13 @@ def trivial_upper_bound_laplacian(d: float, alpha: float) -> float:
     Upper-bounds the band-forgiving rate for every eps >= 0; zero for
     d >= 1/alpha.
     """
-    d, alpha = _positive(d, "distortion"), _positive(alpha, "alpha")
-    return max(0.0, -math.log(alpha * d))
+    d, alpha = np.array([_positive(d, "distortion")]), _positive(alpha, "alpha")
+    with np.errstate(all="ignore"):
+        return float(_trivial_upper_bound_laplacian(d, alpha)[0])
+
+
+def _trivial_upper_bound_laplacian(d, alpha: float):
+    return np.maximum(-np.log(alpha * d), 0.0)
 
 
 def convolution_upper_bounds(source: Source, slopes, loss: EpsilonLoss) -> list[RDPoint]:
@@ -186,34 +211,46 @@ def convolution_upper_bounds(source: Source, slopes, loss: EpsilonLoss) -> list[
     :func:`conv_entropies` call, and each slope's value is the same in any
     batch.  Supports the source types it does; others raise TypeError.
     """
-    return _convolution_upper_bounds(source, _check_slopes(slopes).reshape(-1), loss)
+    s = _check_slopes(slopes).reshape(-1)
+    return _rate_points(s, loss.epsilon, _convolution_upper_bounds(source, s, loss))
 
 
-def _convolution_upper_bounds(source: Source, s, loss: EpsilonLoss) -> list[RDPoint]:
+def _convolution_upper_bounds(source: Source, s, loss: EpsilonLoss):
     eps, entropies = loss.epsilon, _conv_entropies(source, s, loss)
-    return [_rate_point(_distortion_of_slope(v, eps), h - _tilted_entropy(v, eps), v)
-            for v, h in zip(s.tolist(), entropies.tolist())]
+    # r = g * p is taken over C(s), which overflows below |s| ~ 1.1e-308: there r
+    # and h(g * p) read 0, so R_U has no value (NaN); |s| eps may overflow too
+    with np.errstate(over="ignore"):
+        c, h_g = _normalizer(s, eps), _tilted_entropy(s, eps)
+    return np.where(c < math.inf, entropies - h_g, math.nan)
 
 
 def convolution_upper_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
     """Upper bound h(g * p) - h(g) at one slope: convolution_upper_bounds' one-slope case."""
-    return _convolution_upper_bounds(source, _check_slopes([float(s)]), loss)[0]
+    return convolution_upper_bounds(source, [float(s)], loss)[0]
 
 
 def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoint:
     """Upper bound replacing h(g * p) by the max-entropy Gaussian of equal variance.
 
-    log(Var p + Var g) is the log-sum of the tails' log(2/s^2) and log(Var p
-    + the band's share), taken in units of max(eps, 1): finite wherever h(g) is.
+    It is log(2 pi e (Var p + Var g) / C(s)^2) / 2 - 1/(1 + |s| eps), so the
+    log |s| of h(g) never cancels: the log of the ratio is the log-sum of the
+    tails' share, log(2/s^2) - 2 log C(s) = log(1/2) - 2 log1p(|s| eps), and of
+    log(Var p + the band's share) - 2 log C(s), that share taken in units of
+    max(eps, 1).  Finite wherever h(g) is, at every slope.
     """
-    s, eps = _check_slope(s), loss.epsilon
-    b, unit, two_pi_e = -s, max(eps, 1.0), 2.0 * math.pi * math.e
-    band = 2.0 * math.log(unit) + math.log(
-        two_pi_e * (source.variance() / unit / unit + _band_variance(b, eps, unit)))
-    tails = math.log(2.0 * two_pi_e) - 2.0 * math.log(b)
-    raw = (0.5 * (max(band, tails) + math.log1p(math.exp(-abs(band - tails))))
-           - _tilted_entropy(s, eps))
-    return _rate_point(_distortion_of_slope(s, eps), raw, s)
+    s, eps = np.array([_check_slope(s)]), loss.epsilon
+    with np.errstate(all="ignore"):
+        return _rate_points(s, eps, _gaussian_entropy_bound(source, s, eps))[0]
+
+
+def _gaussian_entropy_bound(source: Source, s, eps: float):
+    b, unit, pi_e = -s, max(eps, 1.0), math.pi * math.e
+    band = 2.0 * math.log(unit) + np.log(
+        2.0 * pi_e * (source.variance() / unit / unit + _band_variance(b, eps, unit)))
+    band -= 2.0 * _log_normalizer(s, eps)
+    tails = math.log(pi_e) - 2.0 * np.log1p(b * eps)
+    return (0.5 * (np.maximum(band, tails) + np.log1p(np.exp(-abs(band - tails))))
+            - 1.0 / (1.0 + b * eps))
 
 
 def laplacian_upper_bound_terms(
@@ -227,7 +264,8 @@ def laplacian_upper_bound_terms(
     return _laplacian_upper_bound_terms(_check_slope(s), _positive(alpha, "alpha"), loss.epsilon)
 
 
-def _laplacian_upper_bound_terms(s: float, alpha: float, eps: float) -> tuple[float, float, float]:
+def _laplacian_upper_bound_terms(s, alpha: float, eps: float):
+    # s one slope or an array of them; the terms are elementwise
     # s < 0 and expm1 <= 0, so every term below is positive: 1 + c1 e2 and
     # c_s = 2 + c1 (1 + e2) with c1 = s / (alpha - s) -> -1 would cancel
     # as |s| grows, and c_s would round to 0 past |s| ~ 1e16
@@ -252,13 +290,17 @@ def analytic_upper_bound_laplacian(s: float, alpha: float, loss: EpsilonLoss) ->
     integrals, then subtracts h(g).  Valid on both sides of |s| = alpha and
     continuous through it.
     """
-    s, alpha, eps = _check_slope(s), _positive(alpha, "alpha"), loss.epsilon
+    s, alpha, eps = np.array([_check_slope(s)]), _positive(alpha, "alpha"), loss.epsilon
+    with np.errstate(all="ignore"):
+        return _rate_points(s, eps, _analytic_upper_bound_laplacian(s, alpha, eps))[0]
+
+
+def _analytic_upper_bound_laplacian(s, alpha: float, eps: float):
     c_s, b_int, e_int = _laplacian_upper_bound_terms(s, alpha, eps)
     c = _normalizer(s, eps)
     h_r_upper = (
-        -math.log(c_s / (2.0 * c))
+        -np.log(c_s / (2.0 * c))
         - (alpha * eps / c) * b_int
         + (alpha / c) * e_int
     )
-    raw = h_r_upper - _tilted_entropy(s, eps)
-    return _rate_point(_distortion_of_slope(s, eps), raw, s)
+    return h_r_upper - _tilted_entropy(s, eps)

@@ -8,15 +8,15 @@ dmax     report the zero-crossing of the lower bound and both zero-rate
 ba       Blahut-Arimoto sweep only: ``bounds --bounds ba``
 verify   cross-module consistency checks; exit 0 iff all pass
 
-``_pairs`` turns grid values into (s, D) points and ``_sweep_rows`` computes
-every cell, BA's through the same catch as every bound's: per point, raw rates,
-one note per bound at most and the BA solve's result, R_U in one batched call.
-A BA solve stops at its first iterate that Blahut's gap certifies within 1e-4
-nats; one still uncertified at ``--ba-max-iter`` is flagged and fails ``verify``.
+``_pairs`` turns grid values into arrays of slopes s and distortions D;
+``_sweep_rows`` computes a table of raw columns from them, each closed-form
+column (R_U's too) in one array call, BA one solve a point.  A BA solve stops
+at its first iterate that Blahut's gap certifies within 1e-4 nats; one still
+uncertified at ``--ba-max-iter`` is flagged and fails ``verify``.
 ``bounds``/``ba`` give it one share of the grid per ``--threads`` worker (a
-single worker runs on the calling thread, with no pool thread) and
-``verify`` reads its checks off its rows.  ``_emit`` alone formats a cell and
-``_report`` alone writes output.
+single worker runs on the calling thread, with no pool thread) and ``verify``
+reads its checks off its tables.  ``_emit`` alone clamps, converts and
+formats the cells and ``_report`` alone writes output.
 
 The CSV schema is fixed: ``s,D,R_slb,R_u,R_au,R_ge,R_trivial,R_ba,flags``.
 Rates are nats by default (--units bits divides by ln 2 on output).  Values
@@ -43,7 +43,7 @@ import numpy as np
 from . import ba as ba_mod
 from . import bounds as bounds_mod
 from .sources import Gaussian, Laplacian, Source, load_tabulated_csv
-from .tilted import (EpsilonLoss, distortion_of_slope, normalizer, slope_of_distortion,
+from .tilted import (EpsilonLoss, _distortion_of_slope, _slope_of_distortion, normalizer,
                      tilted_entropy)
 
 COLUMNS = ["s", "D", "R_slb", "R_u", "R_au", "R_ge", "R_trivial", "R_ba", "flags"]
@@ -142,10 +142,9 @@ def _source_and_loss(args) -> tuple[Source, EpsilonLoss]:
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_points(args, loss) -> list[tuple[float, float]]:
-    """(s, d) pairs of the sweep, one per grid value, from validated grid bounds."""
-    lo, hi = args.grid_min, args.grid_max
-    count = args.grid_count
+def _grid_points(args, loss) -> tuple[np.ndarray, np.ndarray]:
+    """The (s, D) arrays of the sweep, one entry per grid value, from validated grid bounds."""
+    lo, hi, count = args.grid_min, args.grid_max, args.grid_count
     if count < 1:
         raise ConfigError("grid-count must be >= 1")
     for name, value in (("grid-min", lo), ("grid-max", hi)):
@@ -161,110 +160,110 @@ def _grid_points(args, loss) -> list[tuple[float, float]]:
     return _pairs(spaced(lo, hi, count), args.grid_var, loss)
 
 
-def _pairs(values, var, loss) -> list[tuple[float, float]]:
-    """(s, d) pairs of slope magnitudes (``var="s"``) or distortions (``var="d"``);
-    a value whose pair is not s < 0 < D, both finite, is a configuration error."""
-    points = []
-    for v in values:
-        if var == "s":
-            s = -float(v)
-            d = distortion_of_slope(s, loss)
-        else:
-            d = float(v)
-            s = slope_of_distortion(d, loss)
-        # an extreme grid value can round D to 0 or inf, or s to -0.0
-        if not -math.inf < s < 0.0 < d < math.inf:
-            raise ConfigError(f"grid value {v:g} gives s = {s!r}, D = {d!r}; every grid "
-                              "value must give s < 0 < D, both finite")
-        points.append((s, d))
-    return points
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.12g}"
+def _pairs(values, var, loss) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays s and D of slope magnitudes (``var="s"``) or distortions
+    (``var="d"``); a value whose pair is not s < 0 < D, both finite, is a
+    configuration error, and the first such value is named."""
+    values, eps = np.asarray(values, dtype=float), loss.epsilon
+    with np.errstate(all="ignore"):
+        s = -values if var == "s" else _slope_of_distortion(values, eps)
+        d = _distortion_of_slope(s, eps) if var == "s" else values
+    # an extreme grid value can round D to 0 or inf, or s to -0.0
+    bad = np.flatnonzero(~((-np.inf < s) & (s < 0.0) & (0.0 < d) & (d < np.inf)))
+    if bad.size:
+        v, s_v, d_v = (float(a[bad[0]]) for a in (values, s, d))
+        raise ConfigError(f"grid value {v:g} gives s = {s_v!r}, D = {d_v!r}; every grid "
+                          "value must give s < 0 < D, both finite")
+    return s, d
 
 
 def _sweep_rows(source, loss, selected, points, ba_n, args):
-    """One row per (s, d) point: the raw rate of each column (None where not
-    computed), at most one note per bound, the notes of its failed cells and
-    the BA solve's ``BAResult``; every cell, BA's too, takes one catch.  R_U is
-    one batch over the points; a slope whose layout fails takes the batch down,
-    and then each slope is taken alone, so its failure is noted on its own row."""
-    try:
-        ru = (bounds_mod.convolution_upper_bounds(source, [s for s, _ in points], loss)
-              if "ru" in selected else None)
-    except (ValueError, ArithmeticError):
-        ru = None
-    h_p = source.differential_entropy() if "slb" in selected else None
-    cells = {  # bound -> its raw rate at point i = (s, d)
-        "slb": lambda i, s, d: bounds_mod.shannon_lower_bound(d, h_p, loss),
-        "ru": lambda i, s, d: (ru[i] if ru is not None
-                               else bounds_mod.convolution_upper_bound(source, s, loss)).raw_rate,
-        "rau": lambda i, s, d: bounds_mod.analytic_upper_bound_laplacian(s, source.alpha,
-                                                                          loss).raw_rate,
-        "rge": lambda i, s, d: bounds_mod.gaussian_entropy_bound(source, s, loss).raw_rate,
-        "trivial": lambda i, s, d: bounds_mod.trivial_upper_bound_laplacian(d, source.alpha),
+    """The raw table of a sweep at ``points``, a pair of arrays (s, D): per rate
+    column a list of raw rates, NaN where there is none, and per point its notes
+    (at most one a bound) and BA solve.  A closed-form column, R_U's too, is one
+    body call under np.errstate, a non-finite entry noted as an error; a column
+    whose call raises is taken a point at a time, as BA always is, so that each
+    failure is noted on its own row with its exception text."""
+    s, d = points
+    n, eps, lap = s.size, loss.epsilon, isinstance(source, Laplacian)
+    notes, solves = [{} for _ in range(n)], [None] * n
+    table = dict(s=s.tolist(), D=d.tolist(), notes=notes, ba=solves)
+    table.update((col, [math.nan] * n) for col in RATE_COLUMNS.values())
+
+    def solve(i):
         # tol = inf makes every step a stall, so the solve stops at the first iterate
         # whose Blahut gap is <= 1e-4 nats (ba._CERTIFIED_GAP), or uncertified at the cap
-        "ba": lambda i, s, d: ba_mod.ba_iterate(ba_mod.build_problem(source, loss, s, n=ba_n),
-                                                tol=math.inf, max_iter=args.ba_max_iter),
+        solves[i] = result = ba_mod.ba_iterate(
+            ba_mod.build_problem(source, loss, table["s"][i], n=ba_n), tol=math.inf,
+            max_iter=args.ba_max_iter)
+        if math.isfinite(result.rate) and not result.converged:
+            notes[i]["ba"] = "ba_not_converged"
+        return result.rate
+
+    columns = {  # bound -> its raw rates at the points of the slice k
+        "slb": lambda k: bounds_mod._shannon_lower_bound(d[k], source.differential_entropy(),
+                                                         eps),
+        "ru": lambda k: bounds_mod._convolution_upper_bounds(source, s[k], loss),
+        "rau": lambda k: bounds_mod._analytic_upper_bound_laplacian(s[k], source.alpha, eps),
+        "rge": lambda k: bounds_mod._gaussian_entropy_bound(source, s[k], eps),
+        "trivial": lambda k: bounds_mod._trivial_upper_bound_laplacian(d[k], source.alpha),
+        "ba": lambda k: [solve(i) for i in range(n)[k]],
     }
-    cells = [(bound, compute) for bound, compute in cells.items() if bound in selected]
-    rows = []
-    for i, (s, d) in enumerate(points):
-        row = dict(s=s, D=d, **dict.fromkeys(RATE_COLUMNS.values()), notes={}, errors=[], ba=None)
-        notes = row["notes"]
-        for bound, compute in cells:
-            if bound in ("rau", "trivial") and not isinstance(source, Laplacian):
-                notes[bound] = f"{bound}_unsupported"
-                continue
-            # a closed form can overflow or divide by an underflowed term at an
-            # extreme slope; that cell is noted, and the rest of the row stands
+
+    def cell(bound, i):
+        """Row i's raw rate of bound alone, or NaN with the error it raises noted."""
+        try:
+            return columns[bound](slice(i, i + 1))[0]
+        except (ValueError, ArithmeticError) as exc:
+            notes[i][bound] = f"{bound}_error:{exc}"
+            return math.nan
+
+    for bound, column in columns.items():
+        if bound not in selected:
+            continue
+        if bound in ("rau", "trivial") and not lap:
+            for row in notes:
+                row[bound] = f"{bound}_unsupported"
+            continue
+        # a closed form can overflow or divide by an underflowed term at an
+        # extreme slope; that entry is noted, and the rest of the column stands
+        with np.errstate(all="ignore"):
             try:
-                raw = compute(i, s, d)
-                if bound == "ba":  # the row keeps the solve; its rate is the cell
-                    row["ba"], raw = raw, raw.rate
-                failure = None if math.isfinite(raw) else "non-finite"
-            except (ValueError, ArithmeticError) as exc:
-                failure = exc
-            if failure is not None:
-                notes[bound] = f"{bound}_error:{failure}"
-                row["errors"].append(notes[bound])
-                continue
-            row[RATE_COLUMNS[bound]] = raw
-            if bound == "ba" and not row["ba"].converged:
-                notes[bound] = "ba_not_converged"
-        rows.append(row)
-    return rows
+                raw = None if bound == "ba" else column(slice(None))
+            except (ValueError, ArithmeticError):
+                raw = None
+            if raw is None:
+                raw = np.array([cell(bound, i) for i in range(n)])
+        finite = np.isfinite(raw)
+        table[RATE_COLUMNS[bound]] = np.where(finite, raw, math.nan).tolist()
+        for i in np.flatnonzero(~finite).tolist():
+            notes[i].setdefault(bound, f"{bound}_error:non-finite")
+    return table
 
 
-def _emit(rows, args):
-    """Clamp at zero, convert units and flag every cell of the raw rows; report the table."""
+def _take(table, rows):
+    """The table's rows at the indices ``rows``, in that order."""
+    return {key: [column[i] for i in rows] for key, column in table.items()}
+
+
+def _emit(table, args):
+    """Clamp at zero, convert units and flag the raw columns of a sweep; report the table."""
     scale = math.log(2.0) if args.units == "bits" else 1.0
-    table = []
-    for row in rows:
-        cells = {"s": row["s"], "D": row["D"]}
-        flags = []
-        for bound, col in RATE_COLUMNS.items():
-            raw = row[col]
-            cells[col] = None if raw is None else max(0.0, raw) / scale
-            if bound in row["notes"]:
-                flags.append(row["notes"][bound])
-            elif raw is not None and raw < 0.0:
-                flags.append(f"{bound}_clamped:{raw:.6g}")
-        cells["flags"] = ";".join(flags)
-        table.append(cells)
-
-    def lines():
-        yield ",".join(COLUMNS)
-        for cells in table:
-            flags = cells["flags"]  # a note may quote an exception's comma; numbers never do
-            if _CSV_SPECIAL.search(flags):
-                flags = '"' + flags.replace('"', '""') + '"'
-            yield ",".join([_fmt(cells[c]) for c in COLUMNS[:-1]] + [flags])
-
-    # the CSV lines are a generator, so a JSON sweep builds no CSV text
-    _report(args, {"columns": COLUMNS, "units": args.units, "rows": table}, lines())
+    raw = np.array([table[col] for col in RATE_COLUMNS.values()])  # NaN: an empty cell
+    rates = ((np.maximum(raw, 0.0) + 0.0) / scale).tolist()  # + 0.0: a zero prints unsigned
+    flags = [";".join(notes[b] if b in notes else f"{b}_clamped:{v:.6g}"
+                      for b, v in zip(ALL_BOUNDS, values) if b in notes or v < 0.0)
+             if notes or clamped else "" for notes, clamped, values in
+             zip(table["notes"], (raw < 0.0).any(axis=0).tolist(), zip(*raw.tolist()))]
+    if args.format == "json":
+        rows = [dict(zip(COLUMNS, [s, d, *(None if v != v else v for v in values), f]))
+                for s, d, values, f in zip(table["s"], table["D"], zip(*rates), flags)]
+        return _report(args, {"columns": COLUMNS, "units": args.units, "rows": rows}, ())
+    cells = [[f"{v:.12g}" for v in table[col]] for col in ("s", "D")]
+    cells += [["" if v != v else f"{v:.12g}" for v in column] for column in rates]
+    # a note may quote an exception's comma; numbers never do
+    quoted = ['"' + f.replace('"', '""') + '"' if _CSV_SPECIAL.search(f) else f for f in flags]
+    _report(args, None, [",".join(COLUMNS), *map(",".join, zip(*cells, quoted))])
 
 
 def _report(args, payload, lines):
@@ -290,25 +289,24 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"unknown bounds: {sorted(unknown)}; choose from {ALL_BOUNDS}")
     if not selected:
         raise ConfigError("at least one bound must be selected")
-    points = _grid_points(args, loss)
+    s, d = _grid_points(args, loss)
     cpus = os.cpu_count() or 1
-    workers = min(args.threads or cpus, cpus, len(points))
+    workers = min(args.threads or cpus, cpus, s.size)
+    shares = [slice(i, None, workers) for i in range(workers)]
 
     def sweep(share):
-        return _sweep_rows(source, loss, selected, share, args.ba_n, args)
+        return _sweep_rows(source, loss, selected, (s[share], d[share]), args.ba_n, args)
 
     # one task per worker, over every workers-th point; the rows go back into
     # grid order before the stable sort, so the output cannot depend on --threads.
     # One worker maps on the calling thread: an executor starts no thread
     # before its first task, so that sweep costs no pool round
-    rows = [None] * len(points)
+    table = {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = (map if workers == 1 else pool.map)(
-            sweep, (points[i::workers] for i in range(workers)))
-        for i, share in enumerate(shares):
-            rows[i::workers] = share
-    rows.sort(key=lambda row: row["D"])
-    _emit(rows, args)
+        for share, part in zip(shares, (map if workers == 1 else pool.map)(sweep, shares)):
+            for key, column in part.items():
+                table.setdefault(key, [None] * s.size)[share] = column
+    _emit(_take(table, sorted(range(s.size), key=table["D"].__getitem__)), args)
     return 0
 
 
@@ -342,26 +340,26 @@ def cmd_dmax(args) -> int:
 
 
 def _verify_checks(source, loss, args) -> list[dict]:
-    """Every bound and BA value here is read off ``_sweep_rows`` rows."""
+    """Every bound and BA value here is read off ``_sweep_rows`` tables."""
     from .spectral import tilted_cf
 
-    def rows(selected, values, n=args.ba_n, var="s"):
+    def sweep(selected, values, n=args.ba_n, var="s"):
         return _sweep_rows(source, loss, selected, _pairs(values, var, loss), n, args)
 
     # closed form of the lower bound against its slope-parametric route
     h_p = source.differential_entropy()
     ds = np.geomspace(1e-3, max(source.d_max(loss), 1e-2), 50)
-    slb_rows = rows(("slb",), ds, var="d")
-    worst = max(abs(r["R_slb"] - (h_p - tilted_entropy(r["s"], loss))) for r in slb_rows)
+    slb = sweep(("slb",), ds, var="d")
+    worst = max(abs(v - (h_p - tilted_entropy(s, loss))) for s, v in zip(slb["s"], slb["R_slb"]))
     checks = [_limit_check("slb_two_route", "max_abs_diff", worst, 1e-12)]
 
     # upper-bound dominance at matched slopes, over the rows holding both cells
-    dominance = rows(("ru", "rau", "rge"), np.geomspace(0.5, 50.0, 12))
+    dominance = sweep(("ru", "rau", "rge"), np.geomspace(0.5, 50.0, 12))
     for name, col in (("dominance_ru_rge", "R_ge"), ("dominance_ru_rau", "R_au")):
         if col == "R_ge" or isinstance(source, Laplacian):
-            worst = max((r["R_u"] - r[col] for r in dominance
-                         if r["R_u"] is not None and r[col] is not None), default=None)
-            checks.append(_limit_check(name, "max_excess", worst, 1e-9, dominance))
+            excess = [u - v for u, v in zip(dominance["R_u"], dominance[col])]
+            worst = max((e for e in excess if not math.isnan(e)), default=None)
+            checks.append(_limit_check(name, "max_excess", worst, 1e-9, [dominance]))
 
     # kernel CF against the cosine transform of its density, in closed form: the
     # flat band's 2 sin(omega eps) / (omega C) and the tail's, e^{s t} / C in
@@ -379,29 +377,31 @@ def _verify_checks(source, loss, args) -> list[dict]:
 
     # BA sandwich between the lower bound and the (clamped) convolution upper
     # bound; a row whose BA or R_U cell failed fails the check instead
-    sandwich = rows(("slb", "ru", "ba"), (2.0, 5.0, 20.0))
-    excess = [e for r in sandwich if r["R_ba"] is not None and r["R_u"] is not None
-              for e in (r["R_slb"] - r["R_ba"], r["R_ba"] - max(0.0, r["R_u"]))]
+    sandwich = sweep(("slb", "ru", "ba"), (2.0, 5.0, 20.0))
+    excess = [e for lo, u, ba in zip(sandwich["R_slb"], sandwich["R_u"], sandwich["R_ba"])
+              if not math.isnan(u + ba) for e in (lo - ba, ba - max(0.0, u))]
     checks.append(_limit_check("ba_sandwich", "max_excess", max(excess, default=None), 2e-2,
-                               sandwich))
+                               [sandwich]))
 
     # grid-convergence of the BA point at a reference slope: the odd n nearest
     # half of --ba-n against the sandwich's own s = -5 solve
     n_coarse = max((args.ba_n // 2) | 1, 3)
-    pair = rows(("ba",), (5.0,), n_coarse) + sandwich[1:2]
-    coarse, fine = (r["ba"] for r in pair)
-    drift = (None if any(r["R_ba"] is None for r in pair)
+    pair = [sweep(("ba",), (5.0,), n_coarse), _take(sandwich, [1])]
+    (coarse,), (fine,) = (table["ba"] for table in pair)
+    drift = (None if any(math.isnan(table["R_ba"][0]) for table in pair)
              else max(abs(coarse.distortion - fine.distortion), abs(coarse.rate - fine.rate)))
     same = [f"coarse grid n={n_coarse} is the --ba-n grid itself"] if n_coarse == args.ba_n else []
     checks.append(_limit_check("ba_grid_convergence", "max_change", drift, 5e-3, pair, same))
     return checks
 
 
-def _limit_check(name, key, value, tol, rows=(), errors=()) -> dict:
-    """A verify check that value <= tol.  A failed cell of any of its rows, a given
-    error or a BA solve left uncertified at the cap fails it and is listed."""
-    errors = [note for r in rows for note in r["errors"]] + [*errors]
-    stalled = [r["s"] for r in rows if r["ba"] is not None and not r["ba"].converged]
+def _limit_check(name, key, value, tol, tables=(), errors=()) -> dict:
+    """A verify check that value <= tol.  A failed cell of any row of its tables, a
+    given error or a BA solve left uncertified at the cap fails it and is listed."""
+    errors = [note for table in tables for notes in table["notes"] for note in notes.values()
+              if "_error:" in note] + [*errors]
+    stalled = [s for table in tables for s, result in zip(table["s"], table["ba"])
+               if result is not None and not result.converged]
     check = {"name": name, key: value, "tol": tol,
              "passed": not errors and not stalled and value <= tol}
     if errors:

@@ -100,9 +100,15 @@ def _laplacian_witness(coef: float, k: int) -> float:
 def first_witness_index(alpha: float, s: float, loss: EpsilonLoss, threshold: float = 1.0) -> int:
     """Smallest k whose witness exceeds threshold (exists: the bound is unbounded in k).
 
-    The witness is nondecreasing in k, so the k found from any first guess is the same."""
+    k is taken in closed form, then checked one step each way: the witness is
+    nondecreasing in k, and up to k = 2**53 a few steps at most move it past
+    any rounding of that guess.  Past 2**53 a step of k no longer moves the
+    witness, so a larger first index is refused with ValueError."""
     coef = _witness_coef(alpha, s, loss)
-    k = max(1, int(math.ceil((threshold / coef / math.pi + 0.5) / 2.0)) - 1)
+    if _laplacian_witness(coef, 2**53) <= threshold:
+        raise ValueError(f"the first k whose witness exceeds {threshold!r} is past 2**53, "
+                         "where k + 1 no longer moves the witness")
+    k = max(1, math.ceil((threshold / coef / math.pi + 0.5) / 2.0))
     while _laplacian_witness(coef, k) <= threshold:
         k += 1
     while k > 1 and _laplacian_witness(coef, k - 1) > threshold:

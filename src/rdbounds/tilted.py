@@ -5,7 +5,9 @@ on the insensitivity band [-epsilon, epsilon] and has Laplace tails of rate
 |s| outside it.  Everything below is exact closed form; entropies and rates
 are in nats.  There is no upper limit on |s|, but relative accuracy of the
 derived quantities degrades gradually once |s| exceeds ~1e12.  Public
-functions check their inputs once; the ``_`` bodies take checked floats.
+functions check their inputs once; the ``_`` bodies take checked values, one
+or an array of them (elementwise), so a public function is its body's
+one-value case and a sweep's column is one body call.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _check_slopes(s) -> np.ndarray:
 
 
 def _normalizer(s, eps: float):
-    """C(s) = 2/|s| + 2 eps of valid slopes (elementwise), finite wherever C(s) is."""
+    """C(s) = 2/|s| + 2 eps of valid slopes (one or an array), finite wherever C(s)
+    is: inf only where 2/|s| is, for |s| below about 1.1e-308."""
     return 2.0 / abs(s) + 2.0 * eps
 
 
@@ -78,11 +81,20 @@ def _kernel_reach(s):
     return 45.0 / abs(s)
 
 
-def _tilted_entropy(s: float, eps: float) -> float:
-    return math.log(_normalizer(s, eps)) + 1.0 / (1.0 + abs(s) * eps)
+def _log_normalizer(s, eps: float):
+    """log C(s) of valid slopes (one or an array), finite at every slope: where C(s)
+    overflows it is carried as log 2 + log1p(|s| eps) - log |s|."""
+    b, c = abs(s), _normalizer(s, eps)
+    return np.where(c < math.inf, np.log(c), math.log(2.0) + np.log1p(b * eps) - np.log(b))
 
 
-def _distortion_of_slope(s: float, eps: float) -> float:
+def _tilted_entropy(s, eps: float):
+    """h(g) = log C(s) + 1/(1 + |s| eps) of valid slopes (one or an array)."""
+    return _log_normalizer(s, eps) + 1.0 / (1.0 + abs(s) * eps)
+
+
+def _distortion_of_slope(s, eps: float):
+    """D(s) of valid slopes (one or an array)."""
     return 1.0 / ((1.0 + eps * abs(s)) * abs(s))
 
 
@@ -99,8 +111,11 @@ def tilted_pdf(x, s: float, loss: EpsilonLoss):
 
 
 def tilted_entropy(s: float, loss: EpsilonLoss) -> float:
-    """Differential entropy of the tilted density: log C(s) + 1/(1 + |s| eps)."""
-    return _tilted_entropy(_check_slope(s), loss.epsilon)
+    """Differential entropy of the tilted density: log C(s) + 1/(1 + |s| eps).
+
+    Finite at every slope: where C(s) overflows, its log is carried.
+    """
+    return float(_tilted_entropy(_check_slope(s), loss.epsilon))
 
 
 def distortion_of_slope(s: float, loss: EpsilonLoss) -> float:
@@ -119,14 +134,20 @@ def slope_of_distortion(d: float, loss: EpsilonLoss) -> float:
     sqrt(d) sqrt(d + 4 eps), whose product does not overflow before the sum.
     """
     d = _positive(d, "distortion")
-    eps = loss.epsilon
+    with np.errstate(over="ignore"):  # s is -0.0 where the root's sum overflows
+        return float(_slope_of_distortion(d, loss.epsilon))
+
+
+def _slope_of_distortion(d, eps: float):
+    """s(D) of valid distortions (one or an array)."""
     if eps == 0.0:
         return -1.0 / d
-    return -2.0 / (d + math.sqrt(d) * math.sqrt(d + 4.0 * eps))
+    return -2.0 / (d + np.sqrt(d) * np.sqrt(d + 4.0 * eps))
 
 
-def _band_variance(b: float, eps: float, unit: float) -> float:
-    """The band's share eps^2 (1/3 + (2/3)/(1 + eps |s|)) of Var g (|s| = b), over unit^2."""
+def _band_variance(b, eps: float, unit: float):
+    """The band's share eps^2 (1/3 + (2/3)/(1 + eps |s|)) of Var g (|s| = b, one or an
+    array), over unit^2."""
     e = eps / unit
     return e * (e * (1.0 / 3.0 + (2.0 / 3.0) / (1.0 + eps * b)))
 

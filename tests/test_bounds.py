@@ -798,6 +798,16 @@ class TestGaussianEntropyBound:
             assert abs(got - (0.5 * math.log(math.pi * math.e) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1e103])
+    def test_limit_to_round_off_where_the_normalizer_overflows(self, src, eps):
+        # C(s) = 2/|s| + 2 eps overflows below |s| ~ 1.1e-308, down to the least
+        # subnormal; the bound is taken relative to C(s)^2, so the log |s| of
+        # h(g), near 709 nats here, never cancels
+        for s in (-1e-200, -1e-300, -1e-308, -5e-324):
+            got = gaussian_entropy_bound(src, s, EpsilonLoss(eps)).raw_rate
+            assert abs(got - (0.5 * math.log(math.pi) - 0.5)) <= 2e-16, s
+
+    @pytest.mark.parametrize("src", [LAP, GAU], ids=["laplacian", "gaussian"])
     @pytest.mark.parametrize("eps", [1e103, 1e200, 1e300])
     def test_finite_at_huge_bands(self, src, eps):
         # the kernel variance's eps^3 overflowed at eps = 1e103; with Var g ~

@@ -19,7 +19,7 @@ import rdbounds
 from rdbounds import bounds, cli, convolution
 from rdbounds.ba import BAResult, ba_iterate, build_problem
 from rdbounds.cli import COLUMNS, build_parser, main
-from rdbounds.sources import Gaussian, Laplacian
+from rdbounds.sources import Gaussian, Laplacian, Tabulated
 from rdbounds.tilted import EpsilonLoss, distortion_of_slope
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,6 +39,7 @@ def parse_csv(text):
     return header, rows
 
 
+TABULATED = Tabulated(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
 BOUNDS_ARGS = [
     "bounds", "--source", "laplacian", "--alpha", str(math.sqrt(2)), "--epsilon", "0.1",
     "--grid-min", "0.5", "--grid-max", "40", "--grid-count", "6",
@@ -201,16 +202,17 @@ class TestBoundsSweep:
         assert row[2] == "0" and row[-1].startswith("slb_clamped:") and "slb_error" not in row[-1]
 
     def test_flags_cell_holding_a_comma_is_quoted(self, capsys, monkeypatch):
-        # a note carries raw exception text, which may hold a comma
+        # a note carries raw exception text, which may hold a comma; the
+        # column's one call raises, and so does the one-value call at bad
         bad = -float(np.geomspace(0.5, 40, 6)[2])
-        real_bound = bounds.gaussian_entropy_bound
+        real_bound = bounds._gaussian_entropy_bound
 
-        def rge(source, s, loss):
-            if s == bad:
+        def rge(source, s, eps):
+            if np.any(s == bad):
                 raise ValueError("needs 3 nodes, over 2")
-            return real_bound(source, s, loss)
+            return real_bound(source, s, eps)
 
-        monkeypatch.setattr(bounds, "gaussian_entropy_bound", rge)
+        monkeypatch.setattr(bounds, "_gaussian_entropy_bound", rge)
         code, out, _ = run_cli(capsys, *BOUNDS_ARGS)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -588,8 +590,8 @@ class TestConfigHandling:
 
 
 class TestBatchedColumn:
-    """The R_U column of a share is one batch; a slope that fails in it is
-    noted on its own row, and every other row keeps its value."""
+    """Each closed-form column of a share, R_U's too, is one batch; a slope that
+    fails in it is noted on its own row, and every other row keeps its value."""
 
     ARGS = ["bounds", "--source", "gaussian", "--epsilon", "0.1", "--grid-min", "0.5",
             "--grid-max", "50", "--grid-count", "7", "--bounds", "slb,ru,rge"]
@@ -623,8 +625,8 @@ class TestBatchedColumn:
         bad = -float(np.geomspace(0.5, 50, 7)[5])
         real_entropy = bounds._tilted_entropy
 
-        def entropy(s, eps):
-            if s == bad:
+        def entropy(s, eps):  # the batch's one call raises, and the one-slope call at bad
+            if np.any(s == bad):
                 raise OverflowError("math range error")
             return real_entropy(s, eps)
 
@@ -635,6 +637,21 @@ class TestBatchedColumn:
                 assert row[3] == "" and row[-1] == "ru_error:math range error"
             else:
                 assert row == want
+
+    def test_overflowing_normalizer_row_takes_a_value(self, capsys):
+        # C(s) = 2/|s| + 2 eps overflows at |s| = 1e-308 (D = 1e308 is in the grid
+        # domain); log C(s) is carried, so R_GE has its value at 1e-300, R_U has a
+        # value or a note, and no numpy warning is raised on the way
+        argv = ["bounds", "--epsilon", "0.1", "--grid-min", "1e-308", "--grid-max", "1e-308",
+                "--grid-count", "1", "--bounds", "slb,ru,rge"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and caught == []
+        header, (row,) = parse_csv(out)
+        cells = dict(zip(header, row))
+        assert cells["R_ge"] == "0.0723649429247" and "rge_" not in cells["flags"]
+        assert cells["R_u"] != "" or "ru_error:" in cells["flags"]
 
     @pytest.mark.parametrize("source", ["laplacian", "gaussian"])
     @pytest.mark.parametrize("eps", ["0", "10"])
@@ -923,16 +940,72 @@ class TestSweepRows:
         # slope and n: converged at s = -10, stopped at the cap at s = -5
         loss, args = EpsilonLoss(0.1), build_parser().parse_args(
             ["bounds", "--ba-max-iter", str(max_iter)])
-        points = [(-20.0, distortion_of_slope(-20.0, loss)), (s, distortion_of_slope(s, loss))]
-        row = cli._sweep_rows(Gaussian(1.0), loss, ("slb", "ba"), points, 101, args)[1]
+        points = cli._pairs([20.0, -s], "s", loss)  # the (s, D) arrays of two slopes
+        table = cli._sweep_rows(Gaussian(1.0), loss, ("slb", "ba"), points, 101, args)
+        solve = table["ba"][1]
         direct = ba_iterate(build_problem(Gaussian(1.0), loss, s, n=101), tol=math.inf,
                             max_iter=max_iter)
-        assert isinstance(row["ba"], BAResult)
-        assert row["ba"].converged is direct.converged is (max_iter == 1000)
+        assert isinstance(solve, BAResult)
+        assert solve.converged is direct.converged is (max_iter == 1000)
         for field in ("rate", "distortion", "iterations", "gap", "certified_gap"):
-            assert getattr(row["ba"], field) == getattr(direct, field)
-        assert np.array_equal(row["ba"].q_mass, direct.q_mass)
-        assert row["R_ba"] == direct.rate and row["errors"] == []
+            assert getattr(solve, field) == getattr(direct, field)
+        assert np.array_equal(solve.q_mass, direct.q_mass)
+        assert table["R_ba"][1] == direct.rate
+        assert not [note for note in table["notes"][1].values() if "_error:" in note]
+
+    @pytest.mark.parametrize("source", [Laplacian(math.sqrt(2)), Gaussian(1.0), TABULATED],
+                             ids=["laplacian", "gaussian", "tabulated"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1e103])
+    def test_cells_equal_one_value_calls(self, source, eps):
+        # a column is one body call over the share; each of its cells is the
+        # public one-value call at that point, bit for bit, from D = 1e-300 to
+        # 1e300, and a cell with no value is one whose call gives none
+        loss, args = EpsilonLoss(eps), build_parser().parse_args(["bounds"])
+        h_p = source.differential_entropy()
+        calls = {
+            "slb": lambda s, d: bounds.shannon_lower_bound(d, h_p, loss),
+            "ru": lambda s, d: bounds.convolution_upper_bound(source, s, loss).raw_rate,
+            "rge": lambda s, d: bounds.gaussian_entropy_bound(source, s, loss).raw_rate,
+        }
+        if isinstance(source, Laplacian):
+            calls["rau"] = lambda s, d: bounds.analytic_upper_bound_laplacian(
+                s, source.alpha, loss).raw_rate
+            calls["trivial"] = lambda s, d: bounds.trivial_upper_bound_laplacian(d, source.alpha)
+        points = cli._pairs(np.geomspace(1e-300, 1e300, 25), "d", loss)
+        table = cli._sweep_rows(source, loss, tuple(calls), points, 3, args)
+        for bound, call in calls.items():
+            for s, d, got, notes in zip(table["s"], table["D"], table[cli.RATE_COLUMNS[bound]],
+                                        table["notes"]):
+                try:
+                    want, failure = call(s, d), None
+                except (ValueError, ArithmeticError) as exc:
+                    want, failure = math.nan, exc
+                if math.isfinite(want):
+                    assert got.hex() == want.hex() and bound not in notes, (bound, s)
+                else:
+                    assert math.isnan(got), (bound, s)
+                    assert notes[bound] == f"{bound}_error:{failure or 'non-finite'}"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_body_call_per_column_and_share(self, capsys, monkeypatch, threads):
+        # the 60-row README figure sweep calls each closed-form body once per
+        # worker share, and no public one-value form
+        calls = []
+        for name in ("_shannon_lower_bound", "_convolution_upper_bounds",
+                     "_analytic_upper_bound_laplacian", "_gaussian_entropy_bound",
+                     "_trivial_upper_bound_laplacian", "shannon_lower_bound",
+                     "convolution_upper_bound", "analytic_upper_bound_laplacian",
+                     "gaussian_entropy_bound", "trivial_upper_bound_laplacian"):
+            def counted(*args, name=name, real=getattr(bounds, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(bounds, name, counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, *FIGURE, "--threads", str(threads))
+        assert code == 0 and err == "" and len(parse_csv(out)[1]) == 60
+        assert sorted(calls) == sorted(threads * [
+            "_shannon_lower_bound", "_convolution_upper_bounds", "_analytic_upper_bound_laplacian",
+            "_gaussian_entropy_bound", "_trivial_upper_bound_laplacian"])
 
 
 def readme_commands():

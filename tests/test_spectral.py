@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from rdbounds import spectral
 import oracles
 
 ALPHA = math.sqrt(2.0)
+SRC = str(Path(spectral.__file__).resolve().parents[1])
 
 
 class TestLaplaceCf:
@@ -130,6 +135,27 @@ class TestWitness:
         k_big = first_witness_index(ALPHA, -5.0, loss, threshold=1e6)
         assert laplacian_witness(ALPHA, -5.0, loss, k_big) > 1e6
         assert k_big == 1 or laplacian_witness(ALPHA, -5.0, loss, k_big - 1) <= 1e6
+
+    @pytest.mark.parametrize("alpha, s, threshold", [
+        (ALPHA, -5.0, 1.0), (ALPHA, -1.5, 1.0), (1e-3, -2.0, 1.0), (1e-6, -1.0, 1.0),
+        (ALPHA, -5.0, 1e12), (1e-6, -1.0, 7.5), (1e-7, -1.0, 3.0), (1e-8, -1.0, 60.0)])
+    def test_first_index_is_the_smallest(self, alpha, s, threshold):
+        # k from the closed form, checked one step each way, up to k ~ 8.7e15 < 2**53
+        loss = EpsilonLoss(0.1)
+        k = first_witness_index(alpha, s, loss, threshold=threshold)
+        assert laplacian_witness(alpha, s, loss, k) > threshold
+        assert k == 1 or laplacian_witness(alpha, s, loss, k - 1) <= threshold
+
+    def test_index_past_float_resolution_is_refused(self):
+        # k ~ 1e199: a step of k no longer moves the witness, and a search by
+        # steps never ended; a fresh interpreter keeps a hang from stalling the suite
+        code = ("from rdbounds import EpsilonLoss, first_witness_index\n"
+                "try:\n    first_witness_index(1e-100, -1.0, EpsilonLoss(0.1))\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "2**53" in proc.stdout
 
     def test_requires_steep_slope_and_band(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -98,6 +98,14 @@ class TestEntropy:
         assert tilted_entropy(-1.0, EpsilonLoss(0.0)) == pytest.approx(math.log(2) + 1, rel=1e-15)
         assert tilted_entropy(-2.0, EpsilonLoss(0.5)) == pytest.approx(math.log(2) + 0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1e103])
+    def test_finite_where_the_normalizer_overflows(self, eps):
+        # 2/|s| overflows below |s| ~ 1.1e-308; log C(s) is carried as
+        # log 2 + log1p(|s| eps) - log |s|, here log 2 - log |s| to round-off
+        for s in (-1e-307, -1e-308, -5e-324):
+            want = math.log(2.0) - math.log(-s) + 1.0
+            assert tilted_entropy(s, EpsilonLoss(eps)) == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("s", S_GRID)
     @pytest.mark.parametrize("eps", EPS_GRID)
     def test_against_quadrature(self, s, eps):
