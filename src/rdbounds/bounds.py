@@ -21,10 +21,11 @@ Implemented bounds, all in nats:
 Rates returned as :class:`RDPoint` are clamped at zero (the true curve is zero
 past d_max) with the raw value kept alongside, never silently.  Public
 functions check their inputs once.  The ``_`` bodies of the closed forms and
-of R_U take a checked array of slopes (or distortions) and give one raw rate
-each, so a public function is its body's one-value case and a sweep's column
-is one body call; a rate past the float range comes out inf or NaN, and the
-public closed forms return it with no numpy warning.
+of R_U take checked slopes (or distortions), an array or one numpy float, and
+give one raw rate each, so a public function is its body's one-value case and
+a sweep's column is one body call, equal cell for cell bit for bit; a rate
+past the float range comes out inf or NaN, and the public closed forms return
+it with no numpy warning.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> f
     units of m = max(d, eps) no sum overflows, so it is finite for every d > 0;
     at eps = 0 it is h(p) - log d - log 2 - 1, the limit of small eps.
     """
-    d = np.array([_positive(d, "distortion")])
+    d = np.float64(_positive(d, "distortion"))
     return float(_shannon_lower_bound(d, source_entropy, loss.epsilon)[0])
 
 
@@ -109,8 +110,8 @@ def _shannon_lower_bound(d, source_entropy: float, eps: float):
     x, e = d / m, eps / m
     with np.errstate(over="ignore"):
         quotient = 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * (eps / d)))
-    terms = zip(np.log(m).tolist(),
-                np.log(2.0 * e + x + np.sqrt(x) * np.sqrt(x + 4.0 * e)).tolist(), quotient.tolist())
+    terms = zip(*(np.atleast_1d(term).tolist() for term in (
+        np.log(m), np.log(2.0 * e + x + np.sqrt(x) * np.sqrt(x + 4.0 * e)), quotient)))
     return np.array([math.fsum((source_entropy, -a, -b, -c)) for a, b, c in terms])
 
 
@@ -195,9 +196,9 @@ def trivial_upper_bound_laplacian(d: float, alpha: float) -> float:
     Upper-bounds the band-forgiving rate for every eps >= 0; zero for
     d >= 1/alpha.
     """
-    d, alpha = np.array([_positive(d, "distortion")]), _positive(alpha, "alpha")
+    d, alpha = np.float64(_positive(d, "distortion")), _positive(alpha, "alpha")
     with np.errstate(all="ignore"):
-        return float(_trivial_upper_bound_laplacian(d, alpha)[0])
+        return float(_trivial_upper_bound_laplacian(d, alpha))
 
 
 def _trivial_upper_bound_laplacian(d, alpha: float):
@@ -238,9 +239,10 @@ def gaussian_entropy_bound(source: Source, s: float, loss: EpsilonLoss) -> RDPoi
     log(Var p + the band's share) - 2 log C(s), that share taken in units of
     max(eps, 1).  Finite wherever h(g) is, at every slope.
     """
-    s, eps = np.array([_check_slope(s)]), loss.epsilon
+    s, eps = _check_slope(s), loss.epsilon
     with np.errstate(all="ignore"):
-        return _rate_points(s, eps, _gaussian_entropy_bound(source, s, eps))[0]
+        raw = float(_gaussian_entropy_bound(source, np.float64(s), eps))
+    return _rate_point(_distortion_of_slope(s, eps), raw, s)
 
 
 def _gaussian_entropy_bound(source: Source, s, eps: float):
@@ -290,9 +292,10 @@ def analytic_upper_bound_laplacian(s: float, alpha: float, loss: EpsilonLoss) ->
     integrals, then subtracts h(g).  Valid on both sides of |s| = alpha and
     continuous through it.
     """
-    s, alpha, eps = np.array([_check_slope(s)]), _positive(alpha, "alpha"), loss.epsilon
+    s, alpha, eps = _check_slope(s), _positive(alpha, "alpha"), loss.epsilon
     with np.errstate(all="ignore"):
-        return _rate_points(s, eps, _analytic_upper_bound_laplacian(s, alpha, eps))[0]
+        raw = float(_analytic_upper_bound_laplacian(np.float64(s), alpha, eps))
+    return _rate_point(_distortion_of_slope(s, eps), raw, s)
 
 
 def _analytic_upper_bound_laplacian(s, alpha: float, eps: float):
