@@ -85,13 +85,6 @@ def _rate_point(d: float, raw: float, s: float) -> RDPoint:
     return RDPoint(d=d, r=max(0.0, raw), s=s, raw_rate=raw)
 
 
-def _rate_points(s, eps: float, raw) -> list[RDPoint]:
-    """One point per checked slope of the array s, raw the array of its raw rates."""
-    with np.errstate(over="ignore"):  # eps |s| past the float range gives D = 0
-        d = _distortion_of_slope(s, eps)
-    return [_rate_point(*point) for point in zip(d.tolist(), raw.tolist(), s.tolist())]
-
-
 def shannon_lower_bound(d: float, source_entropy: float, loss: EpsilonLoss) -> float:
     """Closed-form lower bound h(p) - log(2 eps + d + r) - 2d/(d + r), r = sqrt(d (d + 4 eps)).
 
@@ -213,7 +206,10 @@ def convolution_upper_bounds(source: Source, slopes, loss: EpsilonLoss) -> list[
     batch.  Supports the source types it does; others raise TypeError.
     """
     s = _check_slopes(slopes).reshape(-1)
-    return _rate_points(s, loss.epsilon, _convolution_upper_bounds(source, s, loss))
+    raw = _convolution_upper_bounds(source, s, loss)
+    with np.errstate(over="ignore"):  # eps |s| past the float range gives D = 0
+        d = _distortion_of_slope(s, loss.epsilon)
+    return [_rate_point(*point) for point in zip(d.tolist(), raw.tolist(), s.tolist())]
 
 
 def _convolution_upper_bounds(source: Source, s, loss: EpsilonLoss):
